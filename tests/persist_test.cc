@@ -52,6 +52,19 @@ bool FileExists(const std::string& path) {
   return false;
 }
 
+std::vector<std::uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<std::uint8_t> out;
+  if (std::FILE* file = std::fopen(path.c_str(), "rb"); file != nullptr) {
+    std::uint8_t buffer[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+      out.insert(out.end(), buffer, buffer + n);
+    }
+    std::fclose(file);
+  }
+  return out;
+}
+
 std::vector<std::uint8_t> Bytes(std::initializer_list<int> values) {
   std::vector<std::uint8_t> out;
   for (int v : values) out.push_back(static_cast<std::uint8_t>(v));
@@ -562,6 +575,58 @@ TEST_F(CheckpointTest, CheckpointBytesAreThreadCountInvariant) {
       EXPECT_EQ(serial_bytes, bytes);
     }
   }
+}
+
+// A checkpoint written by an earlier build (tests/golden/
+// stream_checkpoint.bin: this fixture's session after 30 arrivals, with a
+// tolerance of 3 so the reorder buffer is non-empty) must restore, encode
+// back to the very same bytes, and finish the stream exactly like an
+// uninterrupted session. This pins the on-disk format across kernel
+// rewrites. On a mismatch the bytes this build wrote are left next to the
+// other test temporaries.
+TEST_F(CheckpointTest, CommittedFixtureRestoresAndReencodesByteIdentically) {
+  constexpr std::size_t kFixtureArrivals = 30;
+  OnlineMinerOptions options = Options(1);
+  options.tolerance = 3;
+  const std::string fixture =
+      std::string(GRANMINE_TEST_GOLDEN_DIR) + "/stream_checkpoint.bin";
+  const std::string written = TempPath("fixture_reencoded.bin");
+  std::remove(written.c_str());
+
+  Result<OnlineMiner> fresh = OnlineMiner::Create(&toy_, problem_, options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  for (std::size_t i = 0; i < kFixtureArrivals; ++i) {
+    ASSERT_TRUE(fresh->Ingest(events_[i]).ok());
+  }
+  ASSERT_GT(fresh->resident_configurations(), 0u);
+  ASSERT_GT(fresh->buffered_events(), 0u);
+
+  Result<OnlineMiner> restored =
+      persist::RestoreStreamCheckpoint(&toy_, problem_, options, fixture);
+  if (!restored.ok()) {
+    ASSERT_TRUE(persist::SaveStreamCheckpoint(*fresh, written).ok());
+    FAIL() << "cannot restore " << fixture << ": " << restored.status()
+           << "\nthis build's checkpoint was written to " << written;
+  }
+  ASSERT_TRUE(persist::SaveStreamCheckpoint(*restored, written).ok());
+  const std::vector<std::uint8_t> want = ReadFileBytes(fixture);
+  EXPECT_EQ(want, ReadFileBytes(written))
+      << "re-encoding the fixture changed its bytes; see " << written;
+  // The same arrivals ingested by this build encode to the same bytes too.
+  ASSERT_TRUE(persist::SaveStreamCheckpoint(*fresh, written).ok());
+  EXPECT_EQ(want, ReadFileBytes(written))
+      << "this build checkpoints the fixture's session differently; see "
+      << written;
+
+  for (std::size_t i = kFixtureArrivals; i < events_.size(); ++i) {
+    ASSERT_TRUE(restored->Ingest(events_[i]).ok());
+    ASSERT_TRUE(fresh->Ingest(events_[i]).ok());
+  }
+  Result<MiningReport> got = restored->Snapshot();
+  Result<MiningReport> expected = fresh->Snapshot();
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(FormatReport(*expected), FormatReport(*got));
 }
 
 TEST_F(CheckpointTest, RestoreRefusesMismatchedSessionGeometry) {
