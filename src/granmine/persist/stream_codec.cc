@@ -99,15 +99,14 @@ std::vector<std::uint8_t> StreamSessionCodec::Encode(const OnlineMiner& miner) {
   enc.PutU8(core.matcher.has_value() ? 1 : 0);
   if (!core.matcher.has_value()) return enc.buffer();
 
-  // Resident runs. Frontiers are unordered in memory; writing them in
-  // canonical (state, resets) order makes the same session state always
-  // encode to the same bytes, so checkpoint files can be compared directly.
+  // Resident runs. Frontier rows are stored in canonical (state, resets)
+  // order, so writing them as stored makes the same session state always
+  // encode to the same bytes and checkpoint files compare directly.
   const IncrementalMatcher& matcher = *core.matcher;
-  const std::size_t clock_count = matcher.kernel_.clock_count();
-  enc.PutU64(clock_count);
+  const std::size_t width = matcher.kernel_.row_width();
+  enc.PutU64(matcher.kernel_.clock_count());
   enc.PutU64(matcher.candidate_count_);
   enc.PutU64(matcher.roots_.size());
-  std::vector<const TagConfig*> ordered;
   for (std::size_t r = 0; r < matcher.roots_.size(); ++r) {
     const RootRuns& root = matcher.roots_[r];
     enc.PutI64(root.t0);
@@ -117,20 +116,11 @@ std::vector<std::uint8_t> StreamSessionCodec::Encode(const OnlineMiner& miner) {
       enc.PutU8(static_cast<std::uint8_t>(slot.verdict));
       EncodeStats(&enc, slot.stats);
       enc.PutU8(slot.run.seeded ? 1 : 0);
-      ordered.clear();
-      ordered.reserve(slot.run.frontier.size());
-      for (const TagConfig& config : slot.run.frontier) {
-        ordered.push_back(&config);
-      }
-      std::sort(ordered.begin(), ordered.end(),
-                [](const TagConfig* a, const TagConfig* b) {
-                  if (a->state != b->state) return a->state < b->state;
-                  return a->resets < b->resets;
-                });
-      enc.PutU64(ordered.size());
-      for (const TagConfig* config : ordered) {
-        enc.PutI32(config->state);
-        for (std::int64_t reset : config->resets) enc.PutI64(reset);
+      const std::vector<std::int64_t>& frontier = slot.run.frontier;
+      enc.PutU64(frontier.size() / width);
+      for (std::size_t at = 0; at < frontier.size(); at += width) {
+        enc.PutI32(static_cast<std::int32_t>(frontier[at]));
+        for (std::size_t c = 1; c < width; ++c) enc.PutI64(frontier[at + c]);
       }
     }
   }
@@ -279,6 +269,7 @@ Status StreamSessionCodec::Decode(const Section& section, OnlineMiner* miner) {
     return dec.Corrupt("resident-root count " + std::to_string(root_count) +
                        " exceeds payload");
   }
+  const int state_count = matcher.kernel_.tag().state_count();
   matcher.roots_.clear();
   for (std::uint64_t r = 0; r < root_count; ++r) {
     RootRuns root;
@@ -309,15 +300,32 @@ Status StreamSessionCodec::Decode(const Section& section, OnlineMiner* miner) {
         return dec.Corrupt("frontier size " + std::to_string(frontier) +
                            " exceeds payload");
       }
+      // Rows must arrive strictly increasing in (state, resets) order — the
+      // order every writer emits and the kernel's closure relies on; this
+      // also rules out duplicates.
+      const std::size_t width = static_cast<std::size_t>(clock_count) + 1;
+      std::vector<std::int64_t>& rows = slot.run.frontier;
+      rows.reserve(static_cast<std::size_t>(frontier) * width);
       for (std::uint64_t c = 0; c < frontier; ++c) {
-        TagConfig config;
-        GM_RETURN_NOT_OK(dec.GetI32("config state", &config.state));
-        config.resets.resize(static_cast<std::size_t>(clock_count));
-        for (std::int64_t& reset : config.resets) {
-          GM_RETURN_NOT_OK(dec.GetI64("config reset", &reset));
+        std::int32_t state = 0;
+        GM_RETURN_NOT_OK(dec.GetI32("config state", &state));
+        if (state < 0 || state >= state_count) {
+          return dec.Corrupt("config state " + std::to_string(state) +
+                             " is not a state of the re-derived TAG");
         }
-        if (!slot.run.frontier.insert(std::move(config)).second) {
-          return dec.Corrupt("duplicate configuration in frontier");
+        rows.push_back(state);
+        for (std::size_t i = 1; i < width; ++i) {
+          std::int64_t reset = 0;
+          GM_RETURN_NOT_OK(dec.GetI64("config reset", &reset));
+          rows.push_back(reset);
+        }
+        const auto row = rows.end() - static_cast<std::ptrdiff_t>(width);
+        if (c > 0 && !std::lexicographical_compare(
+                         row - static_cast<std::ptrdiff_t>(width), row, row,
+                         rows.end())) {
+          return dec.Corrupt(
+              "frontier configurations are not in strictly increasing "
+              "(state, resets) order");
         }
       }
     }

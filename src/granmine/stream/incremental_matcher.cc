@@ -29,7 +29,7 @@ void IncrementalMatcher::Finalize(RootRuns* root) {
       // The batch run would scan to end-of-input and reject: no group at or
       // before the deadline accepted, and later groups are never fed.
       slot.verdict = RunVerdict::kRejected;
-      slot.run.Reset();
+      slot.run = TagRunState{};
     }
   }
   root->pending = 0;
@@ -81,17 +81,17 @@ void IncrementalMatcher::AdvanceGroup(
                                    max_configurations_, /*ticket=*/nullptr)) {
         case TagKernel::GroupOutcome::kAccepted:
           slot.verdict = RunVerdict::kAccepted;
-          slot.run.Reset();
+          slot.run = TagRunState{};
           --root.pending;
           break;
         case TagKernel::GroupOutcome::kDead:
           slot.verdict = RunVerdict::kRejected;
-          slot.run.Reset();
+          slot.run = TagRunState{};
           --root.pending;
           break;
         case TagKernel::GroupOutcome::kStopped:
           slot.verdict = RunVerdict::kUnknown;
-          slot.run.Reset();
+          slot.run = TagRunState{};
           --root.pending;
           break;
         case TagKernel::GroupOutcome::kAdvanced:
@@ -125,7 +125,7 @@ std::size_t IncrementalMatcher::resident_configurations() const {
     if (root.pending == 0) continue;
     for (const ResidentRun& slot : root.slots) {
       if (slot.verdict == RunVerdict::kPending) {
-        total += slot.run.frontier.size();
+        total += kernel_.FrontierSize(slot.run);
       }
     }
   }

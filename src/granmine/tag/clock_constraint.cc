@@ -178,4 +178,115 @@ std::string ClockConstraint::ToString() const {
   return os.str();
 }
 
+namespace {
+
+// The smallest *defined* clock value a compiled bound admits; kUndefined
+// sits just below it, so no `lo` ever admits an undefined clock.
+constexpr std::int64_t kMinDefined = CompiledGuard::kUndefined + 1;
+constexpr std::int64_t kMaxValue = std::numeric_limits<std::int64_t>::max();
+
+}  // namespace
+
+CompiledGuard::CompiledGuard(const ClockConstraint& guard) {
+  for (const Box& box : Disjunction(guard, /*negated=*/false)) {
+    bounds_.insert(bounds_.end(), box.begin(), box.end());
+    box_end_.push_back(static_cast<std::uint32_t>(bounds_.size()));
+  }
+}
+
+// The boxes of `formula` (or of its negation), pushing negations down to the
+// atoms: !(v <= k) is k+1 <= v and !(k <= v) is v <= k-1, saturating at the
+// int64 edges into an empty range (lo > hi) that no defined value meets.
+std::vector<CompiledGuard::Box> CompiledGuard::Disjunction(
+    const ClockConstraint& formula, bool negated) {
+  using Kind = ClockConstraint::Kind;
+  const int clock = formula.clock_;
+  const std::int64_t k = formula.bound_;
+  switch (formula.kind_) {
+    case Kind::kTrue:
+      if (negated) return {};
+      return {Box{}};
+    case Kind::kAtMost:
+      if (!negated) return {Box{{clock, kMinDefined, k}}};
+      if (k == kMaxValue) return {Box{{clock, kMaxValue, kMaxValue - 1}}};
+      return {Box{{clock, std::max(k + 1, kMinDefined), kMaxValue}}};
+    case Kind::kAtLeast:
+      if (!negated) return {Box{{clock, std::max(k, kMinDefined), kMaxValue}}};
+      if (k <= kMinDefined) return {Box{{clock, kMinDefined, kMinDefined - 1}}};
+      return {Box{{clock, kMinDefined, k - 1}}};
+    case Kind::kNot:
+      return Disjunction(formula.children_[0], !negated);
+    case Kind::kAnd:
+    case Kind::kOr:
+      break;
+  }
+  std::vector<Box> result;
+  if ((formula.kind_ == Kind::kAnd) != negated) {
+    // Conjunction: distribute over the children's disjunctions.
+    result.push_back(Box{});
+    for (const ClockConstraint& child : formula.children_) {
+      std::vector<Box> next;
+      for (const Box& left : result) {
+        for (const Box& right : Disjunction(child, negated)) {
+          Box merged;
+          std::size_t i = 0, j = 0;
+          while (i < left.size() || j < right.size()) {
+            if (j == right.size() ||
+                (i < left.size() && left[i].clock < right[j].clock)) {
+              merged.push_back(left[i++]);
+            } else if (i == left.size() || right[j].clock < left[i].clock) {
+              merged.push_back(right[j++]);
+            } else {
+              merged.push_back({left[i].clock,
+                                std::max(left[i].lo, right[j].lo),
+                                std::min(left[i].hi, right[j].hi)});
+              ++i;
+              ++j;
+            }
+          }
+          next.push_back(std::move(merged));
+        }
+      }
+      result = std::move(next);
+    }
+  } else {
+    for (const ClockConstraint& child : formula.children_) {
+      std::vector<Box> boxes = Disjunction(child, negated);
+      result.insert(result.end(), boxes.begin(), boxes.end());
+    }
+  }
+  return result;
+}
+
+bool CompiledGuard::IsSatisfied(std::span<const std::int64_t> values) const {
+  std::uint32_t begin = 0;
+  for (std::uint32_t end : box_end_) {
+    std::uint32_t i = begin;
+    while (i < end) {
+      const Bound& bound = bounds_[i];
+      const std::int64_t v = values[static_cast<std::size_t>(bound.clock)];
+      if (v < bound.lo || v > bound.hi) break;
+      ++i;
+    }
+    if (i == end) return true;
+    begin = end;
+  }
+  return false;
+}
+
+bool CompiledGuard::ExpiredForever(
+    std::span<const std::int64_t> values) const {
+  std::uint32_t begin = 0;
+  for (std::uint32_t end : box_end_) {
+    bool dead = false;
+    for (std::uint32_t i = begin; i < end && !dead; ++i) {
+      dead = values[static_cast<std::size_t>(bounds_[i].clock)] >
+             bounds_[i].hi;
+    }
+    if (!dead) return false;
+    begin = end;
+  }
+  return true;
+}
+
 }  // namespace granmine

@@ -1,51 +1,55 @@
 #include "granmine/tag/step_kernel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 
 #include "granmine/common/check.h"
 
 namespace granmine {
 
-// A search node inside one equal-timestamp group: a configuration plus how
-// many events of each group type it has consumed via labeled transitions
-// (`used`), and whether it still must consume the anchor (anchored matching,
-// first group only).
-struct TagKernelScratch::GroupNode {
-  TagConfig config;
-  std::vector<int> used;
-  bool pre_anchor = false;
-
-  bool operator==(const GroupNode&) const = default;
-};
-
 namespace {
 
-using GroupNode = TagKernelScratch::GroupNode;
+std::atomic<std::uint64_t> next_kernel_id{1};
 
-struct GroupNodeHash {
-  std::size_t operator()(const GroupNode& node) const {
-    std::size_t h = TagConfigHash()(node.config);
-    for (int u : node.used) {
-      h ^= std::hash<int>()(u) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h * 2 + (node.pre_anchor ? 1 : 0);
+// Timestamps a scratch's tick memo holds before it starts over; bounds the
+// memo of a long-lived scratch (a stream worker) without ever mattering to
+// a request-sized scan.
+constexpr std::size_t kTickMemoCap = std::size_t{1} << 14;
+
+std::uint64_t Mix(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
+std::uint64_t HashRow(const std::int64_t* row, std::size_t width) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < width; ++i) {
+    h = (h ^ static_cast<std::uint64_t>(row[i])) * 0x100000001b3ULL;
   }
-};
+  return Mix(h);
+}
+
+// Rebuilds an open-addressing table of `count` entries at twice its size;
+// `hash_of(i)` hashes entry i.
+template <typename HashOf>
+void Regrow(std::vector<std::uint32_t>* table, std::size_t count,
+            HashOf hash_of) {
+  table->assign(table->size() * 2, 0);
+  const std::size_t mask = table->size() - 1;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t slot = hash_of(i) & mask;
+    while ((*table)[slot] != 0) slot = (slot + 1) & mask;
+    (*table)[slot] = static_cast<std::uint32_t>(i + 1);
+  }
+}
 
 }  // namespace
 
-struct TagKernelScratch::Impl {
-  std::unordered_set<GroupNode, GroupNodeHash> visited;
-  std::vector<GroupNode> queue;
-};
-
-TagKernelScratch::TagKernelScratch() : impl(std::make_unique<Impl>()) {}
-TagKernelScratch::~TagKernelScratch() = default;
-TagKernelScratch::TagKernelScratch(TagKernelScratch&&) noexcept = default;
-TagKernelScratch& TagKernelScratch::operator=(TagKernelScratch&&) noexcept =
-    default;
-
-TagKernel::TagKernel(const Tag* tag) : tag_(tag) {
+TagKernel::TagKernel(const Tag* tag)
+    : tag_(tag), id_(next_kernel_id.fetch_add(1, std::memory_order_relaxed)) {
   GM_CHECK(tag_ != nullptr);
   for (const Tag::Clock& clock : tag_->clocks()) {
     auto it = std::find(granularities_.begin(), granularities_.end(),
@@ -59,61 +63,66 @@ TagKernel::TagKernel(const Tag* tag) : tag_(tag) {
           static_cast<int>(it - granularities_.begin()));
     }
   }
-}
-
-void TagKernel::ComputeNow(TimePoint time,
-                           std::vector<std::int64_t>* now) const {
-  now->resize(granularities_.size());
-  for (std::size_t g = 0; g < granularities_.size(); ++g) {
-    std::optional<Tick> tick = granularities_[g]->TickContaining(time);
-    (*now)[g] = tick.has_value() ? *tick : kUndefinedTick;
-  }
-}
-
-// Prune configurations that can never progress again: clock values only
-// grow until a config takes a labeled transition, so once every labeled
-// outgoing guard is expired the config is dead. This is what keeps the
-// live frontier within the Theorem-4 (|V|K)^p bound instead of growing
-// with the sequence. `scratch->now` must already hold the prune instant's
-// ticks.
-void TagKernel::PruneFrontier(TagRunState* run,
-                              TagKernelScratch* scratch) const {
-  const std::size_t clock_count = tag_->clocks().size();
-  std::vector<std::int64_t>& now = scratch->now;
-  scratch->values.assign(clock_count, std::nullopt);
-  std::vector<std::optional<std::int64_t>>& values = scratch->values;
-  auto& frontier = run->frontier;
-  for (auto it = frontier.begin(); it != frontier.end();) {
-    const TagConfig& config = *it;
-    for (std::size_t c = 0; c < clock_count; ++c) {
-      std::int64_t reset = config.resets[c];
-      std::int64_t tick = now[clock_granularity_[c]];
-      values[c] = (reset == kUndefinedTick || tick == kUndefinedTick)
-                      ? std::nullopt
-                      : std::optional<std::int64_t>(tick - reset);
-    }
-    bool alive = false;
-    for (int t_index : tag_->OutgoingOf(config.state)) {
+  const int clocks = static_cast<int>(clock_count());
+  step_begin_.push_back(0);
+  for (int state = 0; state < tag_->state_count(); ++state) {
+    for (int t_index : tag_->OutgoingOf(state)) {
       const Tag::Transition& tr = tag_->transitions()[t_index];
-      if (tr.symbol == kAnySymbol) continue;  // self-loops do not progress
-      if (!tr.guard.ExpiredForever(values)) {
-        alive = true;
-        break;
-      }
+      if (tr.symbol == kAnySymbol) continue;  // skips are absorbed implicitly
+      // Valuation rows are indexed by clock without further checks.
+      for (int c : tr.guard.MentionedClocks()) GM_CHECK(c < clocks);
+      for (int c : tr.resets) GM_CHECK(c >= 0 && c < clocks);
+      steps_.push_back(Step{tr.to, tr.symbol, tag_->IsAccepting(tr.to),
+                            CompiledGuard(tr.guard), tr.resets});
     }
-    it = alive ? std::next(it) : frontier.erase(it);
+    step_begin_.push_back(static_cast<std::uint32_t>(steps_.size()));
   }
+  start_states_ = tag_->start_states();
+  std::sort(start_states_.begin(), start_states_.end());
 }
 
-void TagKernel::RetireDeadConfigs(TimePoint time, TagRunState* run,
-                                  TagKernelScratch* scratch,
-                                  MatchStats* stats) const {
-  if (!run->seeded || run->frontier.empty()) return;
-  ComputeNow(time, &scratch->now);
-  PruneFrontier(run, scratch);
-  if (stats != nullptr) {
-    stats->peak_frontier =
-        std::max(stats->peak_frontier, run->frontier.size());
+const std::int64_t* TagKernel::TicksAt(TimePoint time,
+                                       TagKernelScratch* scratch) const {
+  const std::size_t width = granularities_.size();
+  if (width == 0) return nullptr;
+  std::vector<TimePoint>& times = scratch->tick_times;
+  std::vector<std::int64_t>& rows = scratch->tick_rows;
+  std::vector<std::uint32_t>& table = scratch->tick_table;
+  if (scratch->tick_kernel != id_ || times.size() >= kTickMemoCap) {
+    scratch->tick_kernel = id_;
+    times.clear();
+    rows.clear();
+    table.assign(64, 0);
+  }
+  const std::size_t mask = table.size() - 1;
+  std::size_t slot = Mix(static_cast<std::uint64_t>(time)) & mask;
+  for (; table[slot] != 0; slot = (slot + 1) & mask) {
+    const std::size_t index = table[slot] - 1;
+    if (times[index] == time) return rows.data() + index * width;
+  }
+  const std::size_t index = times.size();
+  times.push_back(time);
+  for (const Granularity* granularity : granularities_) {
+    std::optional<Tick> tick = granularity->TickContaining(time);
+    rows.push_back(tick.has_value() ? *tick : kUndefinedTick);
+  }
+  table[slot] = static_cast<std::uint32_t>(index + 1);
+  if (times.size() * 2 > table.size()) {
+    Regrow(&table, times.size(), [&](std::size_t i) {
+      return Mix(static_cast<std::uint64_t>(times[i]));
+    });
+  }
+  return rows.data() + index * width;
+}
+
+void TagKernel::ClockValues(const std::int64_t* row, const std::int64_t* now,
+                            TagKernelScratch* scratch) const {
+  for (std::size_t c = 0; c < clock_granularity_.size(); ++c) {
+    const std::int64_t reset = row[1 + c];
+    const std::int64_t tick = now[clock_granularity_[c]];
+    scratch->values[c] = (reset == kUndefinedTick || tick == kUndefinedTick)
+                             ? CompiledGuard::kUndefined
+                             : tick - reset;
   }
 }
 
@@ -124,18 +133,17 @@ TagKernel::GroupOutcome TagKernel::AdvanceGroup(
     GovernorAllocator* arena) const {
   GM_CHECK(!group.empty());
   MatchStats& st = *stats;
-  const std::size_t clock_count = tag_->clocks().size();
-  // The governed footprint of one configuration: the node itself plus its
-  // per-clock reset vector (the `used` counts are transient BFS state).
+  const std::size_t clocks = clock_count();
+  const std::size_t width = row_width();
   const std::uint64_t config_bytes =
-      sizeof(TagConfig) + clock_count * sizeof(std::int64_t);
+      kGovernedConfigBaseBytes + clocks * sizeof(std::int64_t);
   st.events_scanned += group.size();
   ++st.groups_advanced;
 
-  ComputeNow(group.front().time, &scratch->now);
-  std::vector<std::int64_t>& now = scratch->now;
-  scratch->values.assign(clock_count, std::nullopt);
-  std::vector<std::optional<std::int64_t>>& values = scratch->values;
+  // Clock ticks are constant across the group.
+  const std::int64_t* now = TicksAt(group.front().time, scratch);
+  scratch->values.resize(clocks);
+  const std::span<const std::int64_t> values = scratch->values;
 
   // Per-type availability within the group.
   std::vector<EventTypeId>& group_types = scratch->group_types;
@@ -153,22 +161,22 @@ TagKernel::GroupOutcome TagKernel::AdvanceGroup(
   }
   const EventTypeId anchor_type = group.front().type;
 
+  std::vector<std::int64_t>& frontier = run->frontier;
   const bool seeding = !run->seeded;
   if (seeding) {
-    // Clocks read 0 at the first event (§4 initiation).
-    TagConfig seed;
-    seed.resets.resize(clock_count);
-    for (std::size_t c = 0; c < clock_count; ++c) {
-      seed.resets[c] = now[clock_granularity_[c]];
+    // Clocks read 0 at the first event (§4 initiation). Start states are
+    // sorted and the resets equal, so the rows are canonical as written.
+    frontier.clear();
+    for (int state : start_states_) {
+      frontier.push_back(state);
+      for (std::size_t c = 0; c < clocks; ++c) {
+        frontier.push_back(now[clock_granularity_[c]]);
+      }
     }
-    for (int state : tag_->start_states()) {
-      seed.state = state;
-      run->frontier.insert(seed);
-    }
-    st.configurations += run->frontier.size();
+    st.configurations += start_states_.size();
     if (arena != nullptr) {
       if (StopCause cause = arena->Charge(
-              st.configurations, run->frontier.size() * config_bytes);
+              st.configurations, start_states_.size() * config_bytes);
           cause != StopCause::kNone) {
         st.stopped = cause;
         return GroupOutcome::kStopped;
@@ -177,108 +185,147 @@ TagKernel::GroupOutcome TagKernel::AdvanceGroup(
     run->seeded = true;
   }
 
-  // BFS closure over labeled consumptions within the group. Every reached
-  // configuration (except pre-anchor ones) is a valid post-group state:
-  // unconsumed events are absorbed by ANY self-loops.
-  auto& visited = scratch->impl->visited;
-  std::vector<GroupNode>& queue = scratch->impl->queue;
-  visited.clear();
-  queue.clear();
-  const bool anchoring = anchored && seeding;
-  auto& frontier = run->frontier;
-  // Seed the closure in canonical (state, resets) order, not hash-set
-  // iteration order: the accept early-exit below makes the reported stats a
-  // function of exploration order, so the order must be derivable from the
-  // frontier's *contents* alone — a checkpoint-restored run (same configs,
-  // different hash-table insertion history) has to explore identically to
-  // the uninterrupted one.
-  std::vector<const TagConfig*> seeds;
-  seeds.reserve(frontier.size());
-  for (const TagConfig& config : frontier) seeds.push_back(&config);
-  std::sort(seeds.begin(), seeds.end(),
-            [](const TagConfig* a, const TagConfig* b) {
-              if (a->state != b->state) return a->state < b->state;
-              return a->resets < b->resets;
-            });
-  for (const TagConfig* config : seeds) {
-    GroupNode node{*config, std::vector<int>(group_types.size(), 0),
-                   anchoring};
-    if (visited.insert(node).second) queue.push_back(std::move(node));
-  }
-  frontier.clear();
+  // Closure over labeled consumptions within the group: a node is a
+  // configuration plus how many events of each group type it consumed and
+  // whether it still must consume the anchor (anchored matching, first group
+  // only). The frontier seeds it in canonical (state, resets) order and the
+  // stack expands last-in first-out: the accept early exit makes the
+  // reported stats a function of exploration order, so the order must
+  // follow from the frontier's contents alone — a checkpoint-restored run
+  // explores exactly like the uninterrupted one.
+  const std::size_t types = group_types.size();
+  const std::size_t node_width = width + types + 1;
+  const std::size_t pre_anchor_at = width + types;
+  std::vector<std::int64_t>& nodes = scratch->nodes;
+  std::vector<std::uint32_t>& table = scratch->table;
+  std::vector<std::uint32_t>& stack = scratch->stack;
+  nodes.clear();
+  stack.clear();
+  const std::size_t seeds = frontier.size() / width;
+  std::size_t table_size = 16;
+  while (table_size < seeds * 2) table_size *= 2;
+  table.assign(table_size, 0);
 
-  auto note_result = [&](const GroupNode& node) {
-    if (!node.pre_anchor) frontier.insert(node.config);
-  };
-  for (const GroupNode& node : queue) note_result(node);
-
-  while (!queue.empty()) {
-    GroupNode node = std::move(queue.back());
-    queue.pop_back();
-    // Clock values are constant across the group for a fixed config.
-    for (std::size_t c = 0; c < clock_count; ++c) {
-      std::int64_t reset = node.config.resets[c];
-      std::int64_t tick = now[clock_granularity_[c]];
-      values[c] = (reset == kUndefinedTick || tick == kUndefinedTick)
-                      ? std::nullopt
-                      : std::optional<std::int64_t>(tick - reset);
+  // Adds the node `row` unless already present; true when it was new.
+  auto intern = [&](const std::int64_t* row) {
+    const std::size_t mask = table.size() - 1;
+    std::size_t slot = HashRow(row, node_width) & mask;
+    for (; table[slot] != 0; slot = (slot + 1) & mask) {
+      const std::int64_t* other =
+          nodes.data() + (table[slot] - 1) * node_width;
+      if (std::equal(row, row + node_width, other)) return false;
     }
-    for (std::size_t type_index = 0; type_index < group_types.size();
-         ++type_index) {
-      if (node.used[type_index] >= available[type_index]) continue;
+    const std::size_t id = nodes.size() / node_width;
+    nodes.insert(nodes.end(), row, row + node_width);
+    table[slot] = static_cast<std::uint32_t>(id + 1);
+    stack.push_back(static_cast<std::uint32_t>(id));
+    if ((id + 1) * 2 > table.size()) {
+      Regrow(&table, id + 1, [&](std::size_t i) {
+        return HashRow(nodes.data() + i * node_width, node_width);
+      });
+    }
+    return true;
+  };
+
+  std::vector<std::int64_t>& node = scratch->node;
+  std::vector<std::int64_t>& successor = scratch->successor;
+  node.assign(node_width, 0);
+  node[pre_anchor_at] = (anchored && seeding) ? 1 : 0;
+  for (std::size_t s = 0; s < seeds; ++s) {
+    std::copy_n(frontier.data() + s * width, width, node.data());
+    intern(node.data());  // frontier rows are distinct: always new
+  }
+
+  while (!stack.empty()) {
+    // Copied out: interning successors may reallocate `nodes`.
+    const std::size_t id = stack.back();
+    stack.pop_back();
+    std::copy_n(nodes.data() + id * node_width, node_width, node.data());
+    ClockValues(node.data(), now, scratch);
+    const int state = static_cast<int>(node[0]);
+    const bool pre_anchor = node[pre_anchor_at] != 0;
+    for (std::size_t type_index = 0; type_index < types; ++type_index) {
+      if (node[width + type_index] >= available[type_index]) continue;
       EventTypeId type = group_types[type_index];
-      if (node.pre_anchor && type != anchor_type) continue;
+      if (pre_anchor && type != anchor_type) continue;
       std::span<const Symbol> event_symbols = symbols.SymbolsFor(type);
       if (event_symbols.empty()) continue;
-      for (int t_index : tag_->OutgoingOf(node.config.state)) {
-        const Tag::Transition& tr = tag_->transitions()[t_index];
-        if (tr.symbol == kAnySymbol) continue;  // skips handled implicitly
+      for (std::uint32_t k = step_begin_[state]; k < step_begin_[state + 1];
+           ++k) {
+        const Step& step = steps_[k];
         if (std::find(event_symbols.begin(), event_symbols.end(),
-                      tr.symbol) == event_symbols.end()) {
+                      step.symbol) == event_symbols.end()) {
           continue;
         }
-        if (!tr.guard.IsSatisfied(values)) continue;
+        if (!step.guard.IsSatisfied(values)) continue;
         ++st.transitions;
-        GroupNode successor = node;
-        successor.config.state = tr.to;
-        for (int c : tr.resets) {
-          successor.config.resets[static_cast<std::size_t>(c)] =
+        if (step.accepting) return GroupOutcome::kAccepted;
+        successor = node;
+        successor[0] = step.to;
+        for (int c : step.resets) {
+          successor[1 + static_cast<std::size_t>(c)] =
               now[clock_granularity_[static_cast<std::size_t>(c)]];
         }
-        ++successor.used[type_index];
-        successor.pre_anchor = false;
-        if (tag_->IsAccepting(tr.to)) return GroupOutcome::kAccepted;
-        if (visited.insert(successor).second) {
-          ++st.configurations;
-          note_result(successor);
-          queue.push_back(std::move(successor));
-          if (st.configurations > max_configurations) {
-            st.budget_exhausted = true;
-            st.stopped = StopCause::kStepBudget;
+        ++successor[width + type_index];
+        successor[pre_anchor_at] = 0;
+        if (!intern(successor.data())) continue;
+        ++st.configurations;
+        if (st.configurations > max_configurations) {
+          st.budget_exhausted = true;
+          st.stopped = StopCause::kStepBudget;
+          return GroupOutcome::kStopped;
+        }
+        if (ticket != nullptr) {
+          if (StopCause cause = ticket->Charge(st.configurations);
+              cause != StopCause::kNone) {
+            st.stopped = cause;
             return GroupOutcome::kStopped;
           }
-          if (ticket != nullptr) {
-            if (StopCause cause = ticket->Charge(st.configurations);
-                cause != StopCause::kNone) {
-              st.stopped = cause;
-              return GroupOutcome::kStopped;
-            }
-          }
-          if (arena != nullptr) {
-            if (StopCause cause =
-                    arena->Charge(st.configurations, config_bytes);
-                cause != StopCause::kNone) {
-              st.stopped = cause;
-              return GroupOutcome::kStopped;
-            }
+        }
+        if (arena != nullptr) {
+          if (StopCause cause = arena->Charge(st.configurations, config_bytes);
+              cause != StopCause::kNone) {
+            st.stopped = cause;
+            return GroupOutcome::kStopped;
           }
         }
       }
     }
   }
 
-  PruneFrontier(run, scratch);
-  st.peak_frontier = std::max(st.peak_frontier, frontier.size());
+  // Every reached node past the anchor is a valid post-group configuration
+  // (unconsumed events are absorbed by ANY self-loops). Keep the distinct
+  // ones in canonical order, dropping those that can never progress again:
+  // clock values only grow until a labeled transition resets them, so once
+  // every labeled outgoing guard is expired the configuration is dead. This
+  // prune keeps the live frontier within the Theorem-4 (|V|K)^p bound
+  // instead of growing with the sequence.
+  std::vector<const std::int64_t*>& rows = scratch->rows;
+  rows.clear();
+  for (std::size_t at = 0; at < nodes.size(); at += node_width) {
+    if (nodes[at + pre_anchor_at] == 0) rows.push_back(nodes.data() + at);
+  }
+  auto row_less = [width](const std::int64_t* a, const std::int64_t* b) {
+    return std::lexicographical_compare(a, a + width, b, b + width);
+  };
+  auto row_equal = [width](const std::int64_t* a, const std::int64_t* b) {
+    return std::equal(a, a + width, b);
+  };
+  std::sort(rows.begin(), rows.end(), row_less);
+  rows.erase(std::unique(rows.begin(), rows.end(), row_equal), rows.end());
+  frontier.clear();
+  for (const std::int64_t* row : rows) {
+    ClockValues(row, now, scratch);
+    const std::size_t state = static_cast<std::size_t>(row[0]);
+    for (std::uint32_t k = step_begin_[state]; k < step_begin_[state + 1];
+         ++k) {
+      if (!steps_[k].guard.ExpiredForever(values)) {
+        frontier.insert(frontier.end(), row, row + width);
+        break;
+      }
+    }
+  }
+  st.peak_frontier = std::max(st.peak_frontier, frontier.size() / width);
   if (frontier.empty()) return GroupOutcome::kDead;  // no run recovers
   return GroupOutcome::kAdvanced;
 }

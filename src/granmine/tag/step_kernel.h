@@ -3,15 +3,13 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "granmine/common/governor.h"
 #include "granmine/common/governor_alloc.h"
 #include "granmine/sequence/event.h"
+#include "granmine/tag/clock_constraint.h"
 #include "granmine/tag/matcher_types.h"
 #include "granmine/tag/tag.h"
 
@@ -22,35 +20,27 @@ namespace granmine {
 inline constexpr std::int64_t kUndefinedTick =
     std::numeric_limits<std::int64_t>::min();
 
-/// One live configuration of a TAG run: a state plus, per clock, the tick at
-/// which the clock was last reset (or kUndefinedTick). Clock values are
-/// reconstructed as `tick(now) − tick(reset)`, so skipped events never
-/// perturb clocks.
-struct TagConfig {
-  int state = 0;
-  std::vector<std::int64_t> resets;  // per clock: tick at reset or sentinel
-
-  bool operator==(const TagConfig&) const = default;
-};
-
-struct TagConfigHash {
-  std::size_t operator()(const TagConfig& config) const {
-    std::size_t h = std::hash<int>()(config.state);
-    for (std::int64_t r : config.resets) {
-      h ^= std::hash<std::int64_t>()(r) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-           (h >> 2);
-    }
-    return h;
-  }
-};
+/// Bytes the memory budget charges per configuration on top of its 8-byte
+/// per-clock resets: a configuration was once a 32-byte node (an int state
+/// plus a heap reset vector) and the budget's trip points are pinned to that
+/// footprint, so a given budget stops the same runs at the same indices.
+inline constexpr std::uint64_t kGovernedConfigBaseBytes = 32;
 
 /// The resident state of one (possibly incremental) TAG run between
-/// equal-timestamp groups: the deduplicated configuration frontier plus
-/// whether the run has consumed its first group (clocks read 0 there, per
-/// §4 initiation). Copyable — a streaming snapshot clones pending runs to
-/// flush the reorder buffer without committing it.
+/// equal-timestamp groups: the configuration frontier plus whether the run
+/// has consumed its first group (clocks read 0 there, per §4 initiation).
+///
+/// A configuration is a state plus, per clock, the tick at which the clock
+/// was last reset (or kUndefinedTick); clock values are reconstructed as
+/// `tick(now) − tick(reset)`, so skipped events never perturb clocks. The
+/// frontier stores configurations as fixed-stride rows `[state, reset_0 ..
+/// reset_{C-1}]` (TagKernel::row_width() values each), sorted and distinct
+/// in (state, resets) order — the order the closure explores them in and
+/// the checkpoint codec writes them in. Copyable as a plain vector: a
+/// streaming snapshot clones pending runs to flush the reorder buffer
+/// without committing it.
 struct TagRunState {
-  std::unordered_set<TagConfig, TagConfigHash> frontier;
+  std::vector<std::int64_t> frontier;
   bool seeded = false;
 
   void Reset() {
@@ -59,36 +49,47 @@ struct TagRunState {
   }
 };
 
-/// Reusable per-worker search buffers for TagKernel::AdvanceGroup (the BFS
-/// closure within one group). One scratch belongs to one thread at a time;
-/// reusing it keeps hash-table capacity warm across runs.
+/// Reusable per-worker buffers for TagKernel::AdvanceGroup. One scratch
+/// belongs to one thread at a time; reusing it keeps every buffer's capacity
+/// warm across runs. The contents are the kernel's business.
 struct TagKernelScratch {
-  struct GroupNode;  // defined in step_kernel.cc
-
-  // Opaque storage; AdvanceGroup manages the contents. The vectors are kept
-  // here (not per-call) purely to avoid reallocation.
-  std::vector<std::int64_t> now;
-  std::vector<std::optional<std::int64_t>> values;
+  // Per group: the distinct event types and how many events of each.
   std::vector<EventTypeId> group_types;
   std::vector<int> available;
-
-  // visited/queue live behind an Impl because GroupNode is internal.
-  TagKernelScratch();
-  ~TagKernelScratch();
-  TagKernelScratch(TagKernelScratch&&) noexcept;
-  TagKernelScratch& operator=(TagKernelScratch&&) noexcept;
-
-  struct Impl;
-  std::unique_ptr<Impl> impl;
+  // Per closure node: its clock values (CompiledGuard::kUndefined when
+  // undefined), its row, and a successor being built.
+  std::vector<std::int64_t> values;
+  std::vector<std::int64_t> node;
+  std::vector<std::int64_t> successor;
+  // The within-group closure: node rows [state, resets.., used[T]..,
+  // pre_anchor] back to back, an open-addressing table of node ids + 1
+  // (0 = empty), and the LIFO stack of unexpanded node ids.
+  std::vector<std::int64_t> nodes;
+  std::vector<std::uint32_t> table;
+  std::vector<std::uint32_t> stack;
+  std::vector<const std::int64_t*> rows;
+  // Tick memo: the clock-granularity ticks of each timestamp this scratch
+  // has advanced a group at, for the kernel with id `tick_kernel`. Rows of
+  // TagKernel's distinct granularities, keyed by time through an
+  // open-addressing table of row index + 1.
+  std::uint64_t tick_kernel = 0;
+  std::vector<TimePoint> tick_times;
+  std::vector<std::int64_t> tick_rows;
+  std::vector<std::uint32_t> tick_table;
 };
 
 /// The TAG transition kernel shared by the batch matcher (`TagMatcher::Run`)
 /// and the streaming `IncrementalMatcher`: an immutable compiled view of one
-/// TAG (clock → granularity indexing resolved once) exposing the per-group
-/// frontier advance of the Theorem-4 procedure. Events with equal timestamps
-/// form one *group*; the kernel explores every consumption order within a
-/// group (per-type counts), seeds the frontier on the run's first group, and
-/// retires configurations whose every labeled guard is expired forever.
+/// TAG exposing the per-group frontier advance of the Theorem-4 procedure.
+/// Construction resolves each clock's granularity, compiles every labeled
+/// transition's guard into per-clock `[lo, hi]` boxes (CompiledGuard) and
+/// groups the labeled transitions by source state, so the hot loop reads
+/// flat arrays only. Events with equal timestamps form one *group*; the
+/// kernel explores every consumption order within a group (per-type
+/// counts), seeds the frontier on the run's first group, and retires
+/// configurations whose every labeled guard is expired forever. A group's
+/// clock ticks are computed once per timestamp and scratch, then read from
+/// the scratch's memo by every later run that advances a group there.
 ///
 /// All members are read-only after construction, so one kernel may be shared
 /// by any number of threads, each passing its own scratch and run state.
@@ -98,7 +99,13 @@ class TagKernel {
   explicit TagKernel(const Tag* tag);
 
   const Tag& tag() const { return *tag_; }
-  std::size_t clock_count() const { return tag_->clocks().size(); }
+  std::size_t clock_count() const { return clock_granularity_.size(); }
+  /// Values per frontier row: the state plus one reset per clock.
+  std::size_t row_width() const { return clock_count() + 1; }
+  /// Configurations in `run`'s frontier.
+  std::size_t FrontierSize(const TagRunState& run) const {
+    return run.frontier.size() / row_width();
+  }
 
   /// What one group advance decided about the run.
   enum class GroupOutcome {
@@ -116,10 +123,10 @@ class TagKernel {
   /// budget counter compared against `max_configurations`); `ticket`, when
   /// non-null, is charged once per created configuration with the run's
   /// configuration count as the deterministic index (GovernorScope::kMatch).
-  /// `arena`, when non-null, is charged the bytes of each created
-  /// configuration against the governor's memory budget at the same index;
-  /// a refusal stops the run with the refusal cause (kMemBudget or an
-  /// injected alloc failure), never a wrong verdict.
+  /// `arena`, when non-null, is charged kGovernedConfigBaseBytes + 8 bytes
+  /// per clock for each created configuration against the governor's memory
+  /// budget at the same index; a refusal stops the run with the refusal
+  /// cause (kMemBudget or an injected alloc failure), never a wrong verdict.
   GroupOutcome AdvanceGroup(std::span<const Event> group,
                             const SymbolMap& symbols, bool anchored,
                             TagRunState* run, TagKernelScratch* scratch,
@@ -128,24 +135,34 @@ class TagKernel {
                             GovernorTicket* ticket,
                             GovernorAllocator* arena = nullptr) const;
 
-  /// Retires every configuration of `run` whose labeled outgoing guards are
-  /// all expired forever at the ticks containing `time` — the watermark GC
-  /// of the streaming subsystem (docs/streaming.md): clock values only grow
-  /// until a reset, so a configuration dead at the watermark is dead for
-  /// every future event. AdvanceGroup already performs this prune at each
-  /// group's own timestamp; this entry point lets an idle stream reclaim
-  /// memory between events. Updates stats->peak_frontier.
-  void RetireDeadConfigs(TimePoint time, TagRunState* run,
-                         TagKernelScratch* scratch, MatchStats* stats) const;
-
  private:
-  void ComputeNow(TimePoint time, std::vector<std::int64_t>* now) const;
-  void PruneFrontier(TagRunState* run, TagKernelScratch* scratch) const;
+  /// A labeled transition with its guard compiled.
+  struct Step {
+    int to;
+    Symbol symbol;
+    bool accepting;
+    CompiledGuard guard;
+    std::vector<int> resets;  ///< clock indices
+  };
+
+  /// The ticks of `time` in granularities_ (kUndefinedTick where `time` has
+  /// no tick), from the scratch's memo.
+  const std::int64_t* TicksAt(TimePoint time, TagKernelScratch* scratch) const;
+  /// Fills scratch->values for the configuration `row` at ticks `now`.
+  void ClockValues(const std::int64_t* row, const std::int64_t* now,
+                   TagKernelScratch* scratch) const;
 
   const Tag* tag_;
+  /// Never reused by another kernel: keys the scratch tick memo.
+  std::uint64_t id_;
   /// Distinct clock granularities and each clock's index into them.
   std::vector<const Granularity*> granularities_;
   std::vector<int> clock_granularity_;
+  /// Labeled transitions grouped by source state: state s owns
+  /// steps_[step_begin_[s], step_begin_[s + 1]), in OutgoingOf order.
+  std::vector<Step> steps_;
+  std::vector<std::uint32_t> step_begin_;
+  std::vector<int> start_states_;  ///< sorted
 };
 
 }  // namespace granmine

@@ -7,7 +7,9 @@
 //  - single-bit flips and truncation of raw section payloads fed straight
 //    to the codecs (the Decoder bounds/plausibility layer, which a CRC
 //    collision or a hostile writer could reach),
-//  - section reordering, unknown section types, and version skew.
+//  - section reordering, unknown section types, and version skew,
+//  - frontier rows out of canonical order or duplicated (the kernel relies
+//    on sorted, distinct rows, so restore must refuse anything else).
 //
 // Runs under ASAN/UBSAN and TSAN via the ctest "sanitizer" label: a decoder
 // walking out of bounds is a sanitizer failure even when it happens not to
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -317,6 +320,91 @@ TEST_F(SnapshotFuzzTest, ContainerVersionSkewIsUnsupported) {
   Status header = reader.ReadHeader();
   ASSERT_FALSE(header.ok());
   EXPECT_EQ(header.code(), StatusCode::kUnsupported) << header;
+}
+
+// Walks a stream-session payload (layout: src/granmine/persist/
+// stream_codec.cc) to the first resident frontier holding two or more
+// configurations; returns the payload offset of its first row, the row size
+// and the row count, or a zero row count when there is none.
+struct FrontierAt {
+  std::size_t offset = 0;
+  std::size_t row_bytes = 0;
+  std::uint64_t rows = 0;
+};
+FrontierAt FindMultiRowFrontier(const std::vector<std::uint8_t>& payload) {
+  persist::Decoder dec(payload, 0);
+  std::uint8_t u8 = 0;
+  std::uint32_t u32 = 0;
+  std::int32_t i32 = 0;
+  std::uint64_t u64 = 0, count = 0;
+  std::int64_t i64 = 0;
+  auto skip = [&](int u8s, int i32s, int i64s, int u64s) {
+    for (int i = 0; i < u8s; ++i) EXPECT_TRUE(dec.GetU8("u8", &u8).ok());
+    for (int i = 0; i < i32s; ++i) EXPECT_TRUE(dec.GetI32("i32", &i32).ok());
+    for (int i = 0; i < i64s; ++i) EXPECT_TRUE(dec.GetI64("i64", &i64).ok());
+    for (int i = 0; i < u64s; ++i) EXPECT_TRUE(dec.GetU64("u64", &u64).ok());
+  };
+  EXPECT_TRUE(dec.GetU32("version", &u32).ok());
+  skip(1, 3, 2, 3);  // fingerprint
+  skip(2, 0, 1, 2);  // watermark + late/shed counters
+  EXPECT_TRUE(dec.GetU64("buffered", &count).ok());
+  for (std::uint64_t i = 0; i < count; ++i) skip(0, 1, 1, 0);
+  skip(0, 0, 0, 3);  // core counters
+  EXPECT_TRUE(dec.GetU64("groups", &count).ok());
+  for (std::uint64_t i = 0; i < count; ++i) skip(0, 0, 1, 3);
+  EXPECT_TRUE(dec.GetU8("has matcher", &u8).ok());
+  std::uint64_t clocks = 0, candidates = 0, roots = 0;
+  EXPECT_TRUE(dec.GetU64("clocks", &clocks).ok());
+  EXPECT_TRUE(dec.GetU64("candidates", &candidates).ok());
+  EXPECT_TRUE(dec.GetU64("roots", &roots).ok());
+  const std::size_t row_bytes = 4 + 8 * static_cast<std::size_t>(clocks);
+  for (std::uint64_t r = 0; r < roots; ++r) {
+    skip(0, 0, 2, 1);  // t0, deadline, pending
+    for (std::uint64_t c = 0; c < candidates; ++c) {
+      skip(1, 0, 0, 0);  // verdict
+      skip(1, 1, 0, 5);  // stats
+      skip(1, 0, 0, 0);  // seeded
+      EXPECT_TRUE(dec.GetU64("frontier", &count).ok());
+      const std::size_t at = static_cast<std::size_t>(dec.offset());
+      if (count >= 2) return {at, row_bytes, count};
+      for (std::uint64_t i = 0; i < count; ++i) {
+        skip(0, 1, static_cast<int>(clocks), 0);
+      }
+    }
+  }
+  return {};
+}
+
+TEST_F(SnapshotFuzzTest, OutOfOrderOrDuplicateFrontierRowsAreCorrupt) {
+  const FrontierAt frontier = FindMultiRowFrontier(stream_payload_);
+  ASSERT_GE(frontier.rows, 2u) << "the corpus needs a multi-row frontier";
+  auto install = [&](const std::vector<std::uint8_t>& payload) {
+    Section section;
+    section.type = SectionType::kStreamSession;
+    section.payload = payload;
+    section.payload_offset = 36;
+    OnlineMiner miner = MakeMiner();
+    return persist::StreamSessionCodec::Decode(section, &miner);
+  };
+  ASSERT_TRUE(install(stream_payload_).ok());
+
+  const auto at = static_cast<std::ptrdiff_t>(frontier.offset);
+  const auto row = static_cast<std::ptrdiff_t>(frontier.row_bytes);
+  std::vector<std::uint8_t> swapped = stream_payload_;
+  std::swap_ranges(swapped.begin() + at, swapped.begin() + at + row,
+                   swapped.begin() + at + row);
+  std::vector<std::uint8_t> duplicated = stream_payload_;
+  std::copy_n(stream_payload_.begin() + at, row,
+              duplicated.begin() + at + row);
+
+  for (const auto* payload : {&swapped, &duplicated}) {
+    Status installed = install(*payload);
+    ASSERT_FALSE(installed.ok());
+    ExpectCleanFailure(installed, "reordered frontier");
+    EXPECT_NE(installed.message().find("strictly increasing"),
+              std::string::npos)
+        << installed;
+  }
 }
 
 TEST_F(SnapshotFuzzTest, StreamPayloadVersionSkewIsUnsupported) {
