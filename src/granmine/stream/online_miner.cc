@@ -244,7 +244,8 @@ Result<MiningReport> OnlineMiner::Snapshot(const ResourceGovernor* governor) {
   }
 
   // Flush the reorder buffer into a clone of the resident state; the live
-  // stream keeps its tolerance slack.
+  // stream keeps its tolerance slack. Frontiers are flat row vectors, so the
+  // clone copies one vector per pending run.
   Core flushed = core_;
   std::size_t i = 0;
   while (i < buffered.size()) {

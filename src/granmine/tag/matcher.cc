@@ -5,17 +5,6 @@
 
 namespace granmine {
 
-/// The per-run buffers; reused across runs when the caller keeps a scratch.
-struct MatchScratch::Impl {
-  TagRunState run;
-  TagKernelScratch kernel;
-};
-
-MatchScratch::MatchScratch() = default;
-MatchScratch::~MatchScratch() = default;
-MatchScratch::MatchScratch(MatchScratch&&) noexcept = default;
-MatchScratch& MatchScratch::operator=(MatchScratch&&) noexcept = default;
-
 SymbolMap SymbolMap::Identity(int type_count) {
   SymbolMap map;
   map.symbols_by_type.resize(static_cast<std::size_t>(type_count));
@@ -65,9 +54,7 @@ MatchOutcome TagMatcher::Run(std::span<const Event> events,
   GovernorAllocator arena(options.governor, GovernorScope::kMatch);
 
   MatchScratch local_scratch;
-  MatchScratch& sc = scratch != nullptr ? *scratch : local_scratch;
-  if (sc.impl_ == nullptr) sc.impl_ = std::make_unique<MatchScratch::Impl>();
-  MatchScratch::Impl& s = *sc.impl_;
+  MatchScratch& s = scratch != nullptr ? *scratch : local_scratch;
 
   const Tag& tag = kernel_.tag();
 
@@ -79,7 +66,7 @@ MatchOutcome TagMatcher::Run(std::span<const Event> events,
     }
   }
 
-  s.run.Reset();
+  s.run_.Reset();
 
   // Events with equal timestamps form one *group*: the §3 occurrence
   // definition is insensitive to their listing order, so within a group the
@@ -102,7 +89,7 @@ MatchOutcome TagMatcher::Run(std::span<const Event> events,
 
     switch (kernel_.AdvanceGroup(
         events.subspan(group_start, group_end - group_start), symbols,
-        options.anchored, &s.run, &s.kernel, &st, options.max_configurations,
+        options.anchored, &s.run_, &s.kernel_, &st, options.max_configurations,
         &ticket, &arena)) {
       case TagKernel::GroupOutcome::kAccepted:
         return MatchOutcome::kAccepted;

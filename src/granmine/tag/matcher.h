@@ -2,7 +2,6 @@
 #define GRANMINE_TAG_MATCHER_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,35 +15,31 @@
 
 namespace granmine {
 
-/// Reusable search buffers (frontier, visited set, BFS queue, clock
-/// valuations) for `TagMatcher::Accepts`. One scratch belongs to one worker
-/// thread at a time; reusing it across runs keeps hash-table capacity warm
-/// instead of reallocating per anchored scan. Default-constructed lazily —
-/// passing nullptr to Accepts simply allocates fresh buffers for that run.
+/// Reusable search buffers (the run's frontier rows, the kernel's closure
+/// table and tick memo) for `TagMatcher::Run`. One scratch belongs to one
+/// worker thread at a time; reusing it across runs keeps buffer capacity and
+/// the memoized group ticks warm instead of rebuilding them per anchored
+/// scan. Passing nullptr to Run simply uses fresh buffers for that run.
 class MatchScratch {
- public:
-  MatchScratch();
-  ~MatchScratch();
-  MatchScratch(MatchScratch&&) noexcept;
-  MatchScratch& operator=(MatchScratch&&) noexcept;
-
  private:
   friend class TagMatcher;
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  TagRunState run_;
+  TagKernelScratch kernel_;
 };
 
 /// NFA-style simulation of a TAG over an event sequence (the Theorem-4
 /// procedure): the frontier holds (state, clock-reset-tick vector)
-/// configurations, deduplicated per step; clock values are reconstructed as
-/// `tick(now) − tick(reset)`, so skipped events never perturb clocks and
-/// undefined ticks only disable the guards that mention them.
+/// configurations as sorted, distinct fixed-stride rows; clock values are
+/// reconstructed as `tick(now) − tick(reset)`, so skipped events never
+/// perturb clocks and undefined ticks only disable the guards that mention
+/// them.
 ///
-/// A matcher is an *immutable compiled view* of its TAG (the clock →
-/// granularity indexing is resolved once at construction, inside the shared
-/// `TagKernel` that also drives the streaming `IncrementalMatcher`): after
-/// that, every member is read-only and `Accepts` keeps all run state on the
-/// stack or in the caller's `MatchScratch`. One matcher over one skeleton TAG
+/// A matcher is an *immutable compiled view* of its TAG (clock →
+/// granularity indexing, compiled guards and per-state labeled transitions
+/// are resolved once at construction, inside the shared `TagKernel` that
+/// also drives the streaming `IncrementalMatcher`): after that, every member
+/// is read-only and `Run` keeps all run state on the stack or in the
+/// caller's `MatchScratch`. One matcher over one skeleton TAG
 /// may therefore be shared by any number of threads, each passing its own
 /// scratch.
 class TagMatcher {
