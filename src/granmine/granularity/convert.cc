@@ -33,28 +33,58 @@ std::optional<Tick> CoveringTick(const Granularity& mu, const Granularity& nu,
   return candidate;
 }
 
-bool SupportContainsSpan(const Granularity& g, const TimeSpan& span) {
-  if (span.empty()) return true;
-  TimePoint t = span.first;
-  std::vector<TimeSpan> extent;
-  while (t <= span.last) {
-    std::optional<Tick> z = g.TickContaining(t);
-    if (!z.has_value()) return false;
-    extent.clear();
-    g.TickExtent(*z, &extent);
-    TimePoint advanced = t;
-    for (const TimeSpan& piece : extent) {
-      if (piece.Contains(t)) {
-        advanced = piece.last + 1;
-        break;
-      }
-    }
-    GM_CHECK(advanced > t) << "extent of " << g.name() << " tick " << *z
-                           << " does not contain a covered instant";
-    t = advanced;
+namespace {
+
+// Streams the support of `g` in increasing order: the tick extents in tick
+// order, with pieces that touch (across a tick boundary too) coalesced into
+// one run. Coalescing stops as soon as the queried span is decided, so a
+// gapped type whose pieces happen to tile the line still terminates.
+class SupportRuns {
+ public:
+  // Starts at the tick holding or following instant `from`.
+  SupportRuns(const Granularity& g, TimePoint from)
+      : g_(g), next_tick_(FirstTickEndingAtOrAfter(g, from)) {
+    run_ = NextPiece();
   }
-  return true;
-}
+
+  // Whether every instant of the non-empty `span` is in the support. Spans
+  // must be queried in increasing, disjoint order, none before `from`.
+  bool Contains(const TimeSpan& span) {
+    while (run_.last < span.last) {
+      const TimeSpan next = NextPiece();
+      if (next.first <= run_.last + 1) {
+        run_.last = std::max(run_.last, next.last);
+        continue;
+      }
+      // A gap at run_.last + 1; it lies inside the span when the run
+      // reaches into it. Either way the old run serves no later span.
+      const bool gap_in_span = run_.last >= span.first;
+      run_ = next;
+      if (gap_in_span) return false;
+    }
+    // run_.first is preceded by a gap (or by `from`), so it must not start
+    // after the span does.
+    return run_.first <= span.first;
+  }
+
+ private:
+  TimeSpan NextPiece() {
+    while (cursor_ == extent_.size()) {
+      extent_.clear();
+      cursor_ = 0;
+      g_.TickExtent(next_tick_++, &extent_);
+    }
+    return extent_[cursor_++];
+  }
+
+  const Granularity& g_;
+  Tick next_tick_;
+  std::vector<TimeSpan> extent_;
+  std::size_t cursor_ = 0;
+  TimeSpan run_;
+};
+
+}  // namespace
 
 bool SupportCovers(const Granularity& target, const Granularity& source,
                    std::int64_t scan_cap) {
@@ -88,13 +118,17 @@ bool SupportCovers(const Granularity& target, const Granularity& source,
                               joint_source_ticks);
   }
   if (last > scan_cap) return false;  // conservatively infeasible
+  // Merge walk: source pieces arrive in increasing order, so one pass over
+  // the target's support runs serves them all.
+  SupportRuns runs(target, source_start);
   std::vector<TimeSpan> extent;
   for (Tick z = 1; z <= last; ++z) {
     extent.clear();
     source.TickExtent(z, &extent);
     for (TimeSpan piece : extent) {
       piece.first = std::max<TimePoint>(piece.first, 0);
-      if (!SupportContainsSpan(target, piece)) return false;
+      if (piece.empty()) continue;
+      if (!runs.Contains(piece)) return false;
     }
   }
   return true;

@@ -20,15 +20,13 @@ namespace granmine {
 std::optional<Tick> CoveringTick(const Granularity& mu, const Granularity& nu,
                                  Tick z);
 
-/// Whether every instant of `span` belongs to the support of `g`.
-bool SupportContainsSpan(const Granularity& g, const TimeSpan& span);
-
 /// Decides the Appendix-A.1 feasibility precondition for converting
 /// constraints from `source` into `target`:
 ///   for all i, t:  t ∈ source(i)  ⇒  exists j: t ∈ target(j),
 /// i.e., support(source) ⊆ support(target). Full-support types are decided
-/// in O(1); gapped pairs are scanned over one joint period (plus exception
-/// windows). Returns false conservatively when the joint period exceeds
+/// in O(1); gapped pairs by one merge walk of the source's tick extents
+/// against the target's coalesced support runs over one joint period (plus
+/// exception windows). Returns false conservatively when that walk exceeds
 /// `scan_cap` source ticks — failing to convert is always sound.
 bool SupportCovers(const Granularity& target, const Granularity& source,
                    std::int64_t scan_cap = std::int64_t{1} << 20);

@@ -8,6 +8,33 @@
 
 namespace granmine {
 
+Result<std::unique_ptr<FilterGranularity>> FilterGranularity::Make(
+    std::string name, const Granularity* base, PeriodicPattern pattern,
+    std::vector<Tick> removed) {
+  GM_CHECK(base != nullptr);
+  const std::vector<std::int64_t>& kept = pattern.kept;
+  const std::int64_t period = pattern.base_period;
+  if (period < 1 || kept.empty() || !std::is_sorted(kept.begin(), kept.end()) ||
+      std::adjacent_find(kept.begin(), kept.end()) != kept.end() ||
+      kept.front() < 0 || kept.back() >= period || pattern.anchor < 0 ||
+      pattern.anchor >= period) {
+    return Status::Invalid(
+        "filter " + name +
+        ": kept offsets must be sorted and distinct, and they and the anchor "
+        "must lie in [0, period) for a period >= 1");
+  }
+  std::unique_ptr<FilterGranularity> filter(new FilterGranularity(
+      std::move(name), base, std::move(pattern), std::move(removed)));
+  for (Tick b : filter->removed_) {
+    if (b < 1 || !filter->PatternKeeps(b)) {
+      return Status::Invalid("filter " + filter->name() +
+                             ": removed base tick " + std::to_string(b) +
+                             " is not kept by the pattern");
+    }
+  }
+  return filter;
+}
+
 FilterGranularity::FilterGranularity(std::string name, const Granularity* base,
                                      PeriodicPattern pattern,
                                      std::vector<Tick> removed)
@@ -15,22 +42,13 @@ FilterGranularity::FilterGranularity(std::string name, const Granularity* base,
       base_(base),
       pattern_(std::move(pattern)),
       removed_(std::move(removed)) {
-  GM_CHECK(base_ != nullptr);
-  GM_CHECK(pattern_.base_period >= 1);
-  GM_CHECK(!pattern_.kept.empty()) << "filter pattern keeps no ticks";
-  GM_CHECK(std::is_sorted(pattern_.kept.begin(), pattern_.kept.end()));
-  GM_CHECK(std::adjacent_find(pattern_.kept.begin(), pattern_.kept.end()) ==
-           pattern_.kept.end());
-  GM_CHECK(pattern_.kept.front() >= 0 &&
-           pattern_.kept.back() < pattern_.base_period);
-  GM_CHECK(pattern_.anchor >= 0 && pattern_.anchor < pattern_.base_period);
   std::sort(removed_.begin(), removed_.end());
   removed_.erase(std::unique(removed_.begin(), removed_.end()),
                  removed_.end());
-  for (Tick b : removed_) {
-    GM_CHECK(b >= 1 && PatternKeeps(b))
-        << "removed base tick " << b << " is not kept by the pattern";
-  }
+  kept_before_anchor_ =
+      std::lower_bound(pattern_.kept.begin(), pattern_.kept.end(),
+                       pattern_.anchor) -
+      pattern_.kept.begin();
 }
 
 bool FilterGranularity::PatternKeeps(Tick base_tick) const {
@@ -66,28 +84,36 @@ std::int64_t FilterGranularity::CountKept(Tick base_tick) const {
   return by_pattern - removed_below;
 }
 
+Tick FilterGranularity::PatternTickOf(std::int64_t n) const {
+  // Pattern-kept ticks are indexed over j = b - 1 + anchor; base tick 1 sits
+  // at j = anchor, so the kept offsets below the anchor are skipped.
+  const std::int64_t per_cycle =
+      static_cast<std::int64_t>(pattern_.kept.size());
+  const std::int64_t index = n - 1 + kept_before_anchor_;
+  const std::int64_t j =
+      index / per_cycle * pattern_.base_period +
+      pattern_.kept[static_cast<std::size_t>(index % per_cycle)];
+  return j - pattern_.anchor + 1;
+}
+
 Tick FilterGranularity::BaseTickOf(Tick z) const {
   GM_CHECK(z >= 1);
-  // Binary search the smallest base tick b with CountKept(b) >= z.
-  const std::int64_t kept_per_cycle =
-      static_cast<std::int64_t>(pattern_.kept.size());
-  Tick hi = ((z + static_cast<std::int64_t>(removed_.size())) /
-                 kept_per_cycle +
-             2) *
-                pattern_.base_period +
-            1;
-  GM_CHECK(CountKept(hi) >= z);
-  Tick lo = 1;
-  while (lo < hi) {
-    Tick mid = lo + (hi - lo) / 2;
-    if (CountKept(mid) >= z) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
+  // Every removed tick is pattern-kept, so the z-th surviving tick is the
+  // (z + m)-th pattern tick where m counts the removed ticks at or below
+  // it. Iterating m from 0 climbs to the least fixpoint, which is that
+  // surviving tick; each round takes in at least one more removed tick.
+  std::int64_t m = 0;
+  for (;;) {
+    const Tick b = PatternTickOf(z + m);
+    const std::int64_t removed_upto =
+        std::upper_bound(removed_.begin(), removed_.end(), b) -
+        removed_.begin();
+    if (removed_upto == m) {
+      GM_DCHECK(Keeps(b) && CountKept(b) == z);
+      return b;
     }
+    m = removed_upto;
   }
-  GM_DCHECK(Keeps(lo));
-  return lo;
 }
 
 std::optional<Tick> FilterGranularity::TickContaining(TimePoint t) const {

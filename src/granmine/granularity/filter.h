@@ -2,10 +2,12 @@
 #define GRANMINE_GRANULARITY_FILTER_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "granmine/common/result.h"
 #include "granmine/granularity/granularity.h"
 
 namespace granmine {
@@ -25,13 +27,21 @@ struct PeriodicPattern {
 /// An optional finite list of `removed` base ticks ("holidays") is subtracted
 /// on top of the pattern, which makes the type eventually periodic rather
 /// than strictly periodic.
+///
+/// Tick arithmetic is closed form: the n-th pattern-kept base tick is
+/// indexed as whole cycles plus one `kept` offset, and the z-th surviving
+/// tick is the (z + m)-th pattern tick for the fixpoint m of "removed ticks
+/// at or below it" — O(1) per hull without removals, O(log |removed|) per
+/// fixpoint round with them.
 class FilterGranularity final : public Granularity {
  public:
-  /// `base` must outlive this object. `removed` entries must be base-tick
-  /// indices that the pattern keeps.
-  FilterGranularity(std::string name, const Granularity* base,
-                    PeriodicPattern pattern,
-                    std::vector<Tick> removed = {});
+  /// `base` must outlive the result. Invalid when `pattern` is malformed
+  /// (empty, unsorted or repeated `kept`, an offset or `anchor` outside
+  /// [0, base_period)) or a `removed` entry is not a base tick the pattern
+  /// keeps.
+  static Result<std::unique_ptr<FilterGranularity>> Make(
+      std::string name, const Granularity* base, PeriodicPattern pattern,
+      std::vector<Tick> removed = {});
 
   std::optional<Tick> TickContaining(TimePoint t) const override;
   std::optional<TimeSpan> TickHull(Tick z) const override;
@@ -55,9 +65,18 @@ class FilterGranularity final : public Granularity {
   bool Keeps(Tick base_tick) const;
 
  private:
+  FilterGranularity(std::string name, const Granularity* base,
+                    PeriodicPattern pattern, std::vector<Tick> removed);
+
+  /// The n-th (n >= 1) base tick the pattern keeps, ignoring removals.
+  Tick PatternTickOf(std::int64_t n) const;
+
   const Granularity* base_;
   PeriodicPattern pattern_;
-  std::vector<Tick> removed_;  // sorted
+  std::vector<Tick> removed_;  // sorted, distinct
+  /// Pattern-kept offsets below `anchor`: the offsets of the cycle that
+  /// precede base tick 1.
+  std::int64_t kept_before_anchor_ = 0;
 };
 
 }  // namespace granmine

@@ -67,39 +67,52 @@ void GroupGranularity::TickExtent(Tick z, std::vector<TimeSpan>* out) const {
   }
 }
 
-GroupByGranularity::GroupByGranularity(std::string name,
-                                       const Granularity* inner,
-                                       const Granularity* outer)
-    : Granularity(std::move(name)), inner_(inner), outer_(outer) {
-  GM_CHECK(inner_ != nullptr && outer_ != nullptr);
-  GM_CHECK(outer_->IsStrictlyPeriodic())
-      << "GroupByGranularity requires a strictly periodic outer type";
+Result<std::unique_ptr<GroupByGranularity>> GroupByGranularity::Make(
+    std::string name, const Granularity* inner, const Granularity* outer) {
+  GM_CHECK(inner != nullptr && outer != nullptr);
+  if (!outer->IsStrictlyPeriodic()) {
+    return Status::Invalid("groupby " + name + ": outer type " +
+                           outer->name() + " is not strictly periodic");
+  }
+  std::unique_ptr<GroupByGranularity> group(
+      new GroupByGranularity(std::move(name), inner, outer));
   // Validate refinement + non-emptiness over one joint period plus the
   // inner exception window.
-  Periodicity joint = periodicity();
+  Periodicity joint = group->periodicity();
   std::optional<TimeSpan> dev_hull =
-      inner_->IsStrictlyPeriodic()
+      inner->IsStrictlyPeriodic()
           ? std::nullopt
-          : inner_->TickHull(inner_->LastDeviantTick() + 1);
+          : inner->TickHull(inner->LastDeviantTick() + 1);
   Tick last_checked = joint.ticks_per_period + 1;
   if (dev_hull.has_value()) {
-    std::optional<Tick> o = outer_->TickContaining(dev_hull->first);
+    std::optional<Tick> o = outer->TickContaining(dev_hull->first);
     if (o.has_value()) last_checked = std::max(last_checked, *o + 1);
   }
   last_checked = std::min<Tick>(last_checked, 1 << 16);
   for (Tick z = 1; z <= last_checked; ++z) {
-    std::pair<Tick, Tick> range = InnerRange(z);
-    GM_CHECK(range.first <= range.second)
-        << "outer tick " << z << " of " << outer_->name()
-        << " contains no tick of " << inner_->name();
-    std::optional<TimeSpan> outer_hull = outer_->TickHull(z);
-    std::optional<TimeSpan> lo = inner_->TickHull(range.first);
-    std::optional<TimeSpan> hi = inner_->TickHull(range.second);
-    GM_CHECK(outer_hull->Contains(*lo) && outer_hull->Contains(*hi))
-        << inner_->name() << " does not refine " << outer_->name()
-        << " at outer tick " << z;
+    std::pair<Tick, Tick> range = group->InnerRange(z);
+    if (range.first > range.second) {
+      return Status::Invalid("groupby " + group->name() + ": outer tick " +
+                             std::to_string(z) + " of " + outer->name() +
+                             " contains no tick of " + inner->name());
+    }
+    std::optional<TimeSpan> outer_hull = outer->TickHull(z);
+    std::optional<TimeSpan> lo = inner->TickHull(range.first);
+    std::optional<TimeSpan> hi = inner->TickHull(range.second);
+    if (!outer_hull->Contains(*lo) || !outer_hull->Contains(*hi)) {
+      return Status::Invalid("groupby " + group->name() + ": " +
+                             inner->name() + " does not refine " +
+                             outer->name() + " at outer tick " +
+                             std::to_string(z));
+    }
   }
+  return group;
 }
+
+GroupByGranularity::GroupByGranularity(std::string name,
+                                       const Granularity* inner,
+                                       const Granularity* outer)
+    : Granularity(std::move(name)), inner_(inner), outer_(outer) {}
 
 std::pair<Tick, Tick> GroupByGranularity::InnerRange(Tick z) const {
   std::optional<TimeSpan> hull = outer_->TickHull(z);

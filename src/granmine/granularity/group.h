@@ -2,10 +2,12 @@
 #define GRANMINE_GRANULARITY_GROUP_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "granmine/common/result.h"
 #include "granmine/granularity/granularity.h"
 
 namespace granmine {
@@ -46,13 +48,17 @@ class GroupGranularity final : public Granularity {
 /// Groups the ticks of `inner` by the tick of `outer` that contains them:
 /// `b-week` = b-days grouped by week, `b-month` = b-days grouped by month.
 /// Requires that inner refines outer (no inner tick straddles an outer
-/// boundary) and that every outer tick contains at least one inner tick —
-/// both validated at construction over one joint period.
+/// boundary) and that every outer tick contains at least one inner tick.
+/// `Make` checks both over one joint period, but the refinement check sees
+/// ranges `InnerRange` has already trimmed, so an inner tick that straddles
+/// a boundary is dropped from every group rather than refused.
 class GroupByGranularity final : public Granularity {
  public:
-  /// `inner` and `outer` must outlive this object.
-  GroupByGranularity(std::string name, const Granularity* inner,
-                     const Granularity* outer);
+  /// `inner` and `outer` must outlive the result. Invalid when `outer` is
+  /// not strictly periodic or an outer tick holds no inner tick (e.g.
+  /// months grouped by day).
+  static Result<std::unique_ptr<GroupByGranularity>> Make(
+      std::string name, const Granularity* inner, const Granularity* outer);
 
   std::optional<Tick> TickContaining(TimePoint t) const override;
   std::optional<TimeSpan> TickHull(Tick z) const override;
@@ -72,6 +78,9 @@ class GroupByGranularity final : public Granularity {
   const Granularity& outer() const { return *outer_; }
 
  private:
+  GroupByGranularity(std::string name, const Granularity* inner,
+                     const Granularity* outer);
+
   /// Inner ticks [first, last] inside outer tick z.
   std::pair<Tick, Tick> InnerRange(Tick z) const;
 

@@ -82,6 +82,16 @@ const Granularity* GranularitySystem::Register(
   return raw;
 }
 
+template <typename T>
+const Granularity* GranularitySystem::RegisterOrReject(
+    Result<std::unique_ptr<T>> made) {
+  if (!made.ok()) {
+    last_add_error_ = made.status();
+    return nullptr;
+  }
+  return Register(std::move(*made));
+}
+
 bool GranularitySystem::RejectIfFrozen(const std::string& name) {
   if (!frozen_) return false;
   last_add_error_ = Status::Invalid(
@@ -118,7 +128,7 @@ const Granularity* GranularitySystem::AddFilter(std::string name,
                                                 PeriodicPattern pattern,
                                                 std::vector<Tick> removed) {
   if (RejectIfFrozen(name)) return nullptr;
-  return Register(std::make_unique<FilterGranularity>(
+  return RegisterOrReject(FilterGranularity::Make(
       std::move(name), base, std::move(pattern), std::move(removed)));
 }
 
@@ -135,8 +145,8 @@ const Granularity* GranularitySystem::AddGroupBy(std::string name,
                                                  const Granularity* inner,
                                                  const Granularity* outer) {
   if (RejectIfFrozen(name)) return nullptr;
-  return Register(
-      std::make_unique<GroupByGranularity>(std::move(name), inner, outer));
+  return RegisterOrReject(
+      GroupByGranularity::Make(std::move(name), inner, outer));
 }
 
 const Granularity* GranularitySystem::AddSynthetic(

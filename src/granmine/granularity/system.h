@@ -118,7 +118,8 @@ class GranularitySystem {
   const std::vector<const Granularity*>& family() const { return family_; }
 
   /// The Status of the most recent rejected `Add*` (one that returned
-  /// nullptr because the system is frozen); OK when none has been rejected.
+  /// nullptr because the system is frozen or the definition is malformed,
+  /// e.g. a filter repeating an offset); OK when none has been rejected.
   const Status& last_add_error() const { return last_add_error_; }
 
   GranularityTables& tables() const { return tables_; }
@@ -126,6 +127,9 @@ class GranularitySystem {
 
  private:
   const Granularity* Register(std::unique_ptr<Granularity> g);
+  /// Registers a validated granularity, or records why it was refused.
+  template <typename T>
+  const Granularity* RegisterOrReject(Result<std::unique_ptr<T>> made);
   /// Records and rejects a post-freeze `Add*`; returns true when frozen.
   bool RejectIfFrozen(const std::string& name);
 

@@ -56,12 +56,35 @@ TEST_F(ConvertGranTest, CoveringTickWithGappedCoarseType) {
   EXPECT_EQ(CoveringTick(Get("b-month"), Get("b-week"), 2), 1);
 }
 
-TEST_F(ConvertGranTest, SupportContainsSpanWalksGaps) {
+TEST_F(ConvertGranTest, SupportCoversWalksGapsAcrossTicks) {
+  // Weekly sources (day 0 = Thu 1970-01-01) checked against b-day's
+  // support: each source piece spans several b-day ticks, so the walk must
+  // coalesce touching target ticks and stop at the weekend gap.
   const Granularity& b_day = Get("b-day");
-  EXPECT_TRUE(SupportContainsSpan(b_day, TimeSpan::Of(0, 1)));  // Thu-Fri
-  EXPECT_FALSE(SupportContainsSpan(b_day, TimeSpan::Of(0, 2)));  // hits Sat
-  EXPECT_TRUE(SupportContainsSpan(b_day, TimeSpan::Of(4, 8)));  // Mon-Fri
-  EXPECT_TRUE(SupportContainsSpan(Get("day"), TimeSpan::Of(0, 1000)));
+  const Granularity* thu_fri =
+      system_->AddSynthetic("thu-fri", 7, {TimeSpan::Of(0, 1)});
+  const Granularity* thu_sat =
+      system_->AddSynthetic("thu-sat", 7, {TimeSpan::Of(0, 2)});
+  const Granularity* mon_fri =
+      system_->AddSynthetic("mon-fri", 7, {TimeSpan::Of(0, 4)}, /*origin=*/4);
+  const Granularity* sun =
+      system_->AddSynthetic("sun", 7, {TimeSpan::Of(3, 3)});
+  EXPECT_TRUE(SupportCovers(b_day, *thu_fri));
+  EXPECT_FALSE(SupportCovers(b_day, *thu_sat));  // hits Sat
+  EXPECT_TRUE(SupportCovers(b_day, *mon_fri));
+  EXPECT_FALSE(SupportCovers(b_day, *sun));
+  EXPECT_TRUE(SupportCovers(Get("day"), *thu_sat));
+}
+
+TEST_F(ConvertGranTest, SupportCoversTerminatesWhenGappedTicksTileTheLine) {
+  // A filter keeping every day reports gapped support, yet its ticks tile
+  // the line: the walk may only coalesce as far as each source piece needs.
+  const Granularity* tiles =
+      system_->AddFilter("every-day", &Get("day"), PeriodicPattern{2, {0, 1}});
+  const Granularity* week_long =
+      system_->AddSynthetic("week-long", 14, {TimeSpan::Of(0, 12)});
+  EXPECT_TRUE(SupportCovers(*tiles, *week_long));
+  EXPECT_FALSE(SupportCovers(*week_long, *tiles));
 }
 
 TEST_F(ConvertGranTest, FullSupportCoverage) {

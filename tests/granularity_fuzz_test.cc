@@ -1,8 +1,15 @@
 // Property/fuzz tests over randomly generated periodic granularities and
 // their compositions: the §2 axioms, table exactness against brute force,
 // and the ⌈z⌉/support operators against their set-theoretic definitions.
+// The filter oracles pin the closed-form tick indexing of FilterGranularity
+// and the merge-walk SupportCovers against linear and per-instant
+// enumeration, including holiday-style removed ticks and far ticks.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <numeric>
 
 #include "granmine/common/math.h"
 #include "granmine/common/random.h"
@@ -208,6 +215,175 @@ TEST_F(GranularityFuzzTest, SupportCoversMatchesEnumeration) {
           << "target=" << target->name() << " source=" << source->name();
     }
   }
+}
+
+bool PatternKeeps(const PeriodicPattern& pattern, Tick b) {
+  return std::binary_search(
+      pattern.kept.begin(), pattern.kept.end(),
+      FloorMod(b - 1 + pattern.anchor, pattern.base_period));
+}
+
+// A random filter pattern: period in [1, max_period] ([2, max_period] when
+// `gapped`), a random non-empty kept subset, a random anchor. With `gapped`
+// the pattern drops at least one offset, so the filter's support really
+// has gaps (a filter keeping every offset tiles the line, and
+// SupportCovers' full-support shortcut would then answer conservatively).
+PeriodicPattern RandomPattern(Rng& rng, std::int64_t max_period,
+                              bool gapped) {
+  PeriodicPattern pattern;
+  pattern.base_period = rng.Uniform(gapped ? 2 : 1, max_period);
+  const std::int64_t dropped = rng.Uniform(0, pattern.base_period - 1);
+  for (std::int64_t o = 0; o < pattern.base_period; ++o) {
+    if (gapped && o == dropped) continue;
+    if (rng.Bernoulli(0.5)) pattern.kept.push_back(o);
+  }
+  if (pattern.kept.empty()) {
+    pattern.kept.push_back((dropped + 1) % pattern.base_period);
+  }
+  pattern.anchor = rng.Uniform(0, pattern.base_period - 1);
+  return pattern;
+}
+
+// Removes roughly a third of the pattern-kept base ticks in
+// [from, from + span) — a holiday cluster.
+void RemoveCluster(const PeriodicPattern& pattern, Tick from, Tick span,
+                   Rng& rng, std::vector<Tick>* removed) {
+  for (Tick b = from; b < from + span; ++b) {
+    if (PatternKeeps(pattern, b) && rng.Bernoulli(0.3)) removed->push_back(b);
+  }
+}
+
+// Checks BaseTickOf over the kept base ticks of [from, to], numbered from
+// `z` (the tick of the first one): the enumerated tick, the round trip
+// through TickContaining, and CountKept.
+void ExpectTicksMatchEnumeration(const FilterGranularity& filter,
+                                 const PeriodicPattern& pattern,
+                                 const std::vector<Tick>& removed, Tick from,
+                                 Tick to, Tick z) {
+  for (Tick b = from; b <= to; ++b) {
+    if (!PatternKeeps(pattern, b) ||
+        std::binary_search(removed.begin(), removed.end(), b)) {
+      continue;
+    }
+    ASSERT_EQ(filter.BaseTickOf(z), b) << filter.name() << " z=" << z;
+    ASSERT_EQ(filter.CountKept(b), z) << filter.name() << " b=" << b;
+    std::optional<TimeSpan> hull = filter.TickHull(z);
+    ASSERT_TRUE(hull.has_value());
+    ASSERT_EQ(filter.TickContaining(hull->first), z)
+        << filter.name() << " z=" << z;
+    ++z;
+  }
+}
+
+TEST(FilterOracleTest, BaseTickOfMatchesLinearEnumeration) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 300; ++trial) {
+    UniformGranularity base("base", rng.Uniform(1, 3), rng.Uniform(-5, 5));
+    PeriodicPattern pattern = RandomPattern(rng, 9, /*gapped=*/false);
+    // Holiday clusters at the start and around a far base tick.
+    const Tick far = rng.Uniform(Tick{1} << 30, Tick{1} << 40);
+    std::vector<Tick> removed;
+    RemoveCluster(pattern, 1, 60, rng, &removed);
+    RemoveCluster(pattern, far - 30, 60, rng, &removed);
+    auto made = FilterGranularity::Make("filter" + std::to_string(trial),
+                                        &base, pattern, removed);
+    ASSERT_TRUE(made.ok()) << made.status();
+    const FilterGranularity& filter = **made;
+
+    ExpectTicksMatchEnumeration(filter, pattern, removed, 1, 400, 1);
+    const Tick window = far - 100;
+    ExpectTicksMatchEnumeration(filter, pattern, removed, window, far + 100,
+                                filter.CountKept(window - 1) + 1);
+    ASSERT_FALSE(testing::Test::HasFatalFailure()) << "trial " << trial;
+  }
+}
+
+// Per-instant reference for SupportCovers: once both types are past their
+// exception windows their supports repeat with the joint period, so one
+// window of [0, exception end + 2 joint periods] decides coverage exactly.
+bool CoversByEnumeration(const Granularity& target,
+                         const Granularity& source) {
+  TimePoint exception_end = 0;
+  for (const Granularity* g : {&target, &source}) {
+    if (!g->IsStrictlyPeriodic()) {
+      exception_end = std::max(
+          exception_end, g->TickHull(g->LastDeviantTick() + 1)->last);
+    }
+  }
+  const TimePoint horizon =
+      exception_end + 2 * std::lcm(target.periodicity().period,
+                                   source.periodicity().period);
+  for (TimePoint t = 0; t <= horizon; ++t) {
+    if (source.InSupport(t) && !target.InSupport(t)) return false;
+  }
+  return true;
+}
+
+// One random family: a uniform base, gapped filters over it (half with
+// holidays), groups of the strictly periodic ones, and group-bys of every
+// filter by a coarser uniform type. Returns how many group-bys were valid.
+int AddRandomComposition(GranularitySystem& system, Rng& rng,
+                         std::vector<const Granularity*>* types) {
+  const Granularity* base = system.AddUniform("base", 2);
+  types->push_back(base);
+  int groupbys = 0;
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "filter" + std::to_string(i);
+    PeriodicPattern pattern = RandomPattern(rng, 6, /*gapped=*/true);
+    const std::int64_t period = pattern.base_period;
+    std::vector<Tick> removed;
+    if (i % 2 == 1) RemoveCluster(pattern, 1, 30, rng, &removed);
+    const Granularity* filter =
+        system.AddFilter(name, base, std::move(pattern), removed);
+    EXPECT_NE(filter, nullptr) << system.last_add_error();
+    if (filter == nullptr) return groupbys;
+    types->push_back(filter);
+    if (removed.empty()) {
+      types->push_back(
+          system.AddGroup(name + "-group", filter, rng.Uniform(2, 3)));
+    }
+    // Outer ticks span whole pattern cycles, so each holds a kept tick
+    // unless holidays empty it — then AddGroupBy must refuse cleanly.
+    const Granularity* outer = system.AddUniform(
+        name + "-outer", 2 * period * rng.Uniform(1, 2));
+    types->push_back(outer);
+    const Granularity* grouped =
+        system.AddGroupBy(name + "-groupby", filter, outer);
+    if (grouped == nullptr) {
+      EXPECT_EQ(system.last_add_error().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    types->push_back(grouped);
+    ++groupbys;
+  }
+  return groupbys;
+}
+
+TEST(FilterOracleTest, SupportCoversMatchesEnumerationOverCompositions) {
+  int groupbys = 0, pairs = 0, covered = 0, gapped_pairs = 0;
+  for (int family = 0; family < 12; ++family) {
+    Rng rng(7170 + family);
+    GranularitySystem system;
+    std::vector<const Granularity*> types;
+    groupbys += AddRandomComposition(system, rng, &types);
+    for (const Granularity* target : types) {
+      for (const Granularity* source : types) {
+        const bool fast = SupportCovers(*target, *source);
+        EXPECT_EQ(fast, CoversByEnumeration(*target, *source))
+            << "family " << family << " target=" << target->name()
+            << " source=" << source->name();
+        ++pairs;
+        covered += fast ? 1 : 0;
+        gapped_pairs +=
+            !target->HasFullSupport() && !source->HasFullSupport() ? 1 : 0;
+      }
+    }
+  }
+  // Both answers occur, and a good share of pairs take the merge walk.
+  EXPECT_GE(groupbys, 40);
+  EXPECT_GT(covered, pairs / 5);
+  EXPECT_LT(covered, pairs - pairs / 5);
+  EXPECT_GT(gapped_pairs, pairs / 4);
 }
 
 }  // namespace

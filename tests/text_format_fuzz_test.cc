@@ -32,6 +32,10 @@ const char* const kStructureSeeds[] = {
     "open -> close : [0,0] shift\n"
     "close -> audit : [1,2] fiscal-year, [0,9] oddball\n",
 
+    "granularity dup = filter(day, 7, 0 0)\n"
+    "granularity empty = groupby(month, day)\n"
+    "a -> b : [0,1] b-day\n",
+
     "a -> b : [0,inf] day\n"
     "b -> c : [-3,3] hour, [0,1] week\n"
     "c -> a : [2,2] month\n",
@@ -216,6 +220,10 @@ TEST(TextFormatFuzzTest, HostileGranularityDefinitionsAreRejected) {
       "filter(day, 7, )",
       "filter(day, 7, 9)",
       "filter(day, 7, -1)",
+      "filter(day, 7, 0 0)",      // repeated offset
+      "filter(day, 7, 3 1 3)",    // repeated after sorting
+      "groupby(month, day)",      // outer ticks hold no inner tick
+      "groupby(week, b-day)",     // no b-day holds a whole week
       "synthetic(7)",
       "synthetic(7, 5)",
       "synthetic(7, 5-3)",
@@ -237,6 +245,17 @@ TEST(TextFormatFuzzTest, HostileGranularityDefinitionsAreRejected) {
       EXPECT_EQ(defined.status().code(), StatusCode::kInvalidArgument)
           << expression;
     }
+  }
+  // Shapes the parser accepts syntactically but the granularity layer must
+  // refuse (they once aborted the process on a GM_CHECK).
+  for (const char* expression : {"filter(day, 7, 0 0)", "groupby(month, day)",
+                                 "groupby(week, b-day)"}) {
+    auto system = MakeToySystem();
+    Result<const Granularity*> defined =
+        ParseGranularityDefinition("hostile", expression, system.get());
+    ASSERT_FALSE(defined.ok()) << expression;
+    EXPECT_EQ(defined.status().code(), StatusCode::kInvalidArgument)
+        << expression;
   }
 }
 

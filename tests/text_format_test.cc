@@ -164,6 +164,36 @@ TEST_F(TextFormatTest, StructureWithInlineGranularity) {
                    .ok());
 }
 
+// Two structure files that used to abort granmine_cli and granmine_serve
+// --structure (exit 134) on a failed GM_CHECK: a filter repeating a kept
+// offset, and a group-by whose outer ticks hold no inner tick. Both must
+// be parse errors that leave the system usable.
+TEST_F(TextFormatTest, MalformedFilterAndGroupByAreParseErrors) {
+  auto system = GranularitySystem::Gregorian();
+  const struct {
+    const char* text;
+    const char* reason;
+  } kCases[] = {
+      {"granularity x = filter(day, 7, 0 0)\na -> b : [0,1] x\n",
+       "sorted and distinct"},
+      {"granularity x = groupby(month, day)\na -> b : [0,1] x\n",
+       "contains no tick of month"},
+  };
+  for (const auto& c : kCases) {
+    auto structure = ParseEventStructure(c.text, system.get());
+    ASSERT_FALSE(structure.ok()) << c.text;
+    EXPECT_EQ(structure.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(structure.status().message().find(c.reason), std::string::npos)
+        << structure.status();
+    EXPECT_EQ(system->Find("x"), nullptr);
+  }
+  // The refused definitions left no trace: the name is still free.
+  auto fine = ParseEventStructure(
+      "granularity x = filter(day, 7, 0 1)\na -> b : [0,1] x\n",
+      system.get());
+  EXPECT_TRUE(fine.ok()) << fine.status();
+}
+
 TEST_F(TextFormatTest, ParsesCivilTimestamps) {
   auto t = ParseTimePoint("1970-01-05 10:30:00");
   ASSERT_TRUE(t.ok());
