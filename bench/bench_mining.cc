@@ -178,6 +178,50 @@ void BM_Mining_FrozenTables(benchmark::State& state) {
 BENCHMARK(BM_Mining_HashedTables)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Mining_FrozenTables)->Unit(benchmark::kMillisecond);
 
+// The perfbench mine-scan shape: the Example-1 structure with every non-root
+// variable free, over 10 trading days at confidence 0.3, steps 1-4 against a
+// frozen system. Each iteration mines the next of 16 seeded workloads, so
+// the counter is the mean TAG runs per mine across the set.
+void BM_Mining_StockScan(benchmark::State& state) {
+  std::unique_ptr<GranularitySystem> system = GranularitySystem::Gregorian();
+  if (!system->Freeze().ok()) {
+    state.SkipWithError("Freeze failed");
+    return;
+  }
+  auto structure = BuildFigure1a(*system);
+  std::vector<Workload> workloads;
+  std::vector<DiscoveryProblem> problems;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    StockWorkloadOptions options;
+    options.trading_days = 10;
+    options.seed = seed;
+    workloads.push_back(MakeStockWorkload(*system, options));
+  }
+  for (const Workload& workload : workloads) {
+    DiscoveryProblem problem;
+    problem.structure = &*structure;
+    problem.min_confidence = 0.3;
+    problem.reference_type = *workload.registry.Find("IBM-rise");
+    problem.allowed.assign(4, {});
+    problems.push_back(problem);
+  }
+  Miner miner(system.get(), StepsUpTo(4));
+  double tag_runs = 0;
+  std::int64_t runs = 0;
+  for (auto _ : state) {
+    const std::size_t at = static_cast<std::size_t>(runs) % workloads.size();
+    Result<MiningReport> report =
+        miner.Mine(problems[at], workloads[at].sequence);
+    benchmark::DoNotOptimize(report);
+    if (report.ok()) tag_runs += static_cast<double>(report->tag_runs);
+    ++runs;
+  }
+  if (runs > 0) {
+    state.counters["tag_runs"] = tag_runs / static_cast<double>(runs);
+  }
+}
+BENCHMARK(BM_Mining_StockScan)->Unit(benchmark::kMicrosecond);
+
 // range(0) = number of extra noise tickers (each adds 2 event types).
 BENCHMARK(BM_Mining_Naive)->Arg(1)->Arg(3)->Arg(6)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Mining_Step1)->Arg(1)->Arg(3)->Arg(6)->Unit(benchmark::kMillisecond);

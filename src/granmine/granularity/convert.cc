@@ -50,6 +50,19 @@ class SupportRuns {
   // Whether every instant of the non-empty `span` is in the support. Spans
   // must be queried in increasing, disjoint order, none before `from`.
   bool Contains(const TimeSpan& span) {
+    if (run_.last < span.first) {
+      // The run is behind the span: seek to the tick holding span.first
+      // rather than stream there, which would walk every tick of a gap as
+      // long as a sparse source's period.
+      const std::optional<Tick> z = g_.TickContaining(span.first);
+      if (!z.has_value()) return false;
+      if (*z >= next_tick_) {
+        next_tick_ = *z;
+        extent_.clear();
+        cursor_ = 0;
+        run_ = NextPiece();
+      }
+    }
     while (run_.last < span.last) {
       const TimeSpan next = NextPiece();
       if (next.first <= run_.last + 1) {

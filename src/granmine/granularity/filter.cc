@@ -5,6 +5,7 @@
 
 #include "granmine/common/check.h"
 #include "granmine/common/math.h"
+#include "granmine/granularity/tables.h"
 
 namespace granmine {
 
@@ -32,7 +33,51 @@ Result<std::unique_ptr<FilterGranularity>> FilterGranularity::Make(
                              " is not kept by the pattern");
     }
   }
+  if (!filter->HullsFit()) {
+    return Status::Invalid("filter " + filter->name() + ": period " +
+                           std::to_string(period) +
+                           " is too large for its base's hull arithmetic");
+  }
   return filter;
+}
+
+bool FilterGranularity::HullsFit() const {
+  // The joint cycle periodicity() computes, overflow-checked.
+  const Periodicity base_p = base_->periodicity();
+  const std::int64_t period = pattern_.base_period;
+  const std::int64_t per_cycle =
+      static_cast<std::int64_t>(pattern_.kept.size());
+  std::int64_t cycle_base_ticks = 0, cycle_time = 0, cycle_ticks = 0;
+  if (__builtin_mul_overflow(
+          period / std::gcd(period, base_p.ticks_per_period),
+          base_p.ticks_per_period, &cycle_base_ticks) ||
+      __builtin_mul_overflow(base_p.period,
+                             cycle_base_ticks / base_p.ticks_per_period,
+                             &cycle_time) ||
+      __builtin_mul_overflow(cycle_base_ticks / period, per_cycle,
+                             &cycle_ticks)) {
+    return false;
+  }
+  // The sealed scan reads hulls up to tick LastDeviantTick() + one cycle +
+  // kSealedKCap, and the hull cache fills up to half again past it; bound
+  // twice that. The z-th surviving tick is at most the (z + |removed|)-th
+  // pattern tick, which lies in pattern cycle (z + |removed| - 1 +
+  // kept_before_anchor_) / |kept|, and base tick b lies in base cycle
+  // b / ticks_per_period.
+  std::int64_t last = 0, base_tick = 0, time = 0;
+  if (__builtin_add_overflow(LastDeviantTick(), cycle_ticks, &last) ||
+      __builtin_add_overflow(last, GranularityTables::kSealedKCap, &last) ||
+      __builtin_mul_overflow(last, 2, &last) ||
+      __builtin_add_overflow(last,
+                             static_cast<std::int64_t>(removed_.size()) +
+                                 kept_before_anchor_,
+                             &last) ||
+      __builtin_mul_overflow(last / per_cycle + 1, period, &base_tick) ||
+      __builtin_mul_overflow(base_tick / base_p.ticks_per_period + 1,
+                             base_p.period, &time)) {
+    return false;
+  }
+  return time < kInfinity;
 }
 
 FilterGranularity::FilterGranularity(std::string name, const Granularity* base,

@@ -37,8 +37,9 @@ class FilterGranularity final : public Granularity {
  public:
   /// `base` must outlive the result. Invalid when `pattern` is malformed
   /// (empty, unsorted or repeated `kept`, an offset or `anchor` outside
-  /// [0, base_period)) or a `removed` entry is not a base tick the pattern
-  /// keeps.
+  /// [0, base_period)), a `removed` entry is not a base tick the pattern
+  /// keeps, or the period is too large for the hull arithmetic (see
+  /// HullsFit).
   static Result<std::unique_ptr<FilterGranularity>> Make(
       std::string name, const Granularity* base, PeriodicPattern pattern,
       std::vector<Tick> removed = {});
@@ -70,6 +71,9 @@ class FilterGranularity final : public Granularity {
 
   /// The n-th (n >= 1) base tick the pattern keeps, ignoring removals.
   Tick PatternTickOf(std::int64_t n) const;
+  /// Whether periodicity() and the hulls of every tick the sealed tables
+  /// read stay below kInfinity without int64 overflow.
+  bool HullsFit() const;
 
   const Granularity* base_;
   PeriodicPattern pattern_;

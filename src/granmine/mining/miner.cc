@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "granmine/common/check.h"
 #include "granmine/common/executor.h"
+#include "granmine/common/governor_alloc.h"
 #include "granmine/common/math.h"
 #include "granmine/constraint/propagation.h"
 #include "granmine/constraint/substructure.h"
@@ -52,6 +54,95 @@ bool WindowSatisfiable(const EventSequence& sequence,
     }
   }
   return false;
+}
+
+// Step 3 per candidate. One bitset over the surviving roots for each
+// non-root variable v and each type in allowed[v], the rows of v in odometer
+// order: bit i is set iff windows[i].windows[v] holds a usable event of that
+// type. A candidate can match only at the roots where every one of its rows
+// is set — WindowSatisfiable's argument, kept per type. Without step 3 the
+// table has no rows and every root is eligible.
+struct EligibilityTable {
+  std::size_t roots = 0;
+  std::size_t words = 0;               // 64-bit words per row
+  std::size_t rows = 0;
+  std::vector<std::size_t> first_row;  // per variable; empty = no rows
+  std::vector<std::uint64_t> bits;     // row-major
+};
+
+// Lays out the rows of `table`, whose roots and words are set.
+void LayOutEligibility(const std::vector<std::vector<EventTypeId>>& allowed,
+                       VariableId root, EligibilityTable* table) {
+  for (std::size_t v = 0; v < allowed.size(); ++v) {
+    table->first_row.push_back(table->rows);
+    if (static_cast<VariableId>(v) != root) table->rows += allowed[v].size();
+  }
+}
+
+// Sets the bits of a laid-out table.
+void FillEligibility(const EventSequence& sequence,
+                     const PropagationResult& propagation,
+                     const std::vector<RootWindows>& windows,
+                     const std::vector<std::vector<EventTypeId>>& allowed,
+                     VariableId root, EligibilityTable* table_out) {
+  EligibilityTable& table = *table_out;
+  table.bits.assign(table.rows * table.words, 0);
+  const std::vector<Event>& events = sequence.events();
+  for (std::size_t i = 0; i < table.roots; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    for (std::size_t v = 0; v < allowed.size(); ++v) {
+      if (static_cast<VariableId>(v) == root) continue;
+      const TimeSpan& window = windows[i].windows[v];
+      if (window.empty()) continue;
+      const std::vector<EventTypeId>& types = allowed[v];
+      for (std::size_t e = FirstEventAtOrAfter(sequence, window.first);
+           e < events.size() && events[e].time <= window.last; ++e) {
+        auto type = std::find(types.begin(), types.end(), events[e].type);
+        if (type == types.end()) continue;
+        std::uint64_t& word =
+            table.bits[(table.first_row[v] +
+                        static_cast<std::size_t>(type - types.begin())) *
+                           table.words +
+                       i / 64];
+        if ((word & bit) == 0 &&
+            UsableForVariable(propagation, static_cast<VariableId>(v),
+                              window, events[e].time)) {
+          word |= bit;
+        }
+      }
+    }
+  }
+}
+
+// Writes φ's eligible roots into `mask` (table.words words) and returns
+// how many there are.
+std::size_t EligibleRoots(const EligibilityTable& table,
+                          const std::vector<std::vector<EventTypeId>>& allowed,
+                          VariableId root, const std::vector<EventTypeId>& phi,
+                          std::uint64_t* mask) {
+  std::fill(mask, mask + table.words, ~std::uint64_t{0});
+  if (table.roots % 64 != 0) {
+    mask[table.words - 1] = (std::uint64_t{1} << (table.roots % 64)) - 1;
+  }
+  if (!table.first_row.empty()) {
+    for (std::size_t v = 0; v < allowed.size(); ++v) {
+      if (static_cast<VariableId>(v) == root) continue;
+      const std::vector<EventTypeId>& types = allowed[v];
+      const std::uint64_t* row =
+          table.bits.data() +
+          (table.first_row[v] +
+           static_cast<std::size_t>(
+               std::find(types.begin(), types.end(), phi[v]) -
+               types.begin())) *
+              table.words;
+      for (std::size_t w = 0; w < table.words; ++w) mask[w] &= row[w];
+    }
+  }
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < table.words; ++w) {
+    count += static_cast<std::size_t>(std::popcount(mask[w]));
+  }
+  return count;
 }
 
 // All size-k subsets of non-root variables that form a chain under
@@ -295,6 +386,27 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
     return report;
   }
 
+  // Step 3 per candidate, charged before it is built so that a tight memory
+  // budget stops the mine here instead of allocating.
+  GovernorAllocator table_arena(governor, GovernorScope::kMine);
+  EligibilityTable eligibility;
+  eligibility.roots = surviving.size();
+  eligibility.words = (surviving.size() + 63) / 64;
+  if (options_.reduce_roots) {
+    LayOutEligibility(allowed, root, &eligibility);
+    if (StopCause cause = table_arena.Charge(
+            0, eligibility.rows * eligibility.words * sizeof(std::uint64_t));
+        cause != StopCause::kNone) {
+      if (!partial) return StopCauseToStatus(cause, "the mining run");
+      report.completeness.not_evaluated = report.candidates_after_screening;
+      report.completeness.stop = cause;
+      report.completeness.complete = false;
+      return report;
+    }
+    FillEligibility(working, propagation, windows, allowed, root,
+                    &eligibility);
+  }
+
   // Step 5: one skeleton TAG for all candidates; anchored scans per root.
   // The skeleton, the reduced sequence, the windows and the system caches
   // are all read-only from here on, so the candidate space can fan out
@@ -310,6 +422,16 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   std::vector<MatchScratch> scratches(static_cast<std::size_t>(
       options_.executor != nullptr ? options_.executor->num_threads()
                                    : Executor::Resolve(options_.num_threads)));
+  std::vector<std::vector<std::uint64_t>> masks(
+      scratches.size(), std::vector<std::uint64_t>(eligibility.words));
+
+  // The verdict's own test; the cut-off asks it of matched + the eligible
+  // roots still to run.
+  auto clears = [&](std::size_t matched) {
+    return static_cast<double>(matched) /
+               static_cast<double>(report.total_roots) >
+           problem.min_confidence;
+  };
 
   // Evaluates one candidate φ; kUnknown sets *reason.
   auto scan_candidate = [&](const std::vector<EventTypeId>& phi,
@@ -322,36 +444,61 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
         return CandidateFate::kDecided;
       }
     }
-    SymbolMap symbols = SymbolMap::FromAssignment(phi, type_count);
+    std::uint64_t* mask = masks[static_cast<std::size_t>(worker)].data();
+    std::size_t remaining =
+        EligibleRoots(eligibility, allowed, root, phi, mask);
+    out->skipped_ineligible += surviving.size() - remaining;
     std::size_t matched = 0;
-    for (std::size_t i = 0; i < surviving.size(); ++i) {
-      MatchOptions match_options;
-      match_options.anchored = true;
-      match_options.max_configurations = options_.max_configurations_per_run;
-      match_options.governor = governor;
-      if (options_.use_window_deadlines && needs_windows) {
-        match_options.deadline = windows[i].deadline;
+    // Step 3 on: refuted as soon as even every eligible root left could not
+    // lift φ past θ.
+    auto cut_off = [&] {
+      if (!options_.reduce_roots || clears(matched + remaining)) return false;
+      out->skipped_cutoff += remaining;
+      ++out->refuted;
+      return true;
+    };
+    if (cut_off()) return CandidateFate::kDecided;
+    SymbolMap symbols = SymbolMap::FromAssignment(phi, type_count);
+    for (std::size_t w = 0; w < eligibility.words; ++w) {
+      for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t i =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        --remaining;
+        MatchOptions match_options;
+        match_options.anchored = true;
+        match_options.max_configurations =
+            options_.max_configurations_per_run;
+        match_options.governor = governor;
+        if (options_.use_window_deadlines && needs_windows) {
+          match_options.deadline = windows[i].deadline;
+        }
+        MatchStats stats;
+        MatchOutcome outcome =
+            matcher.Run(working.SuffixFrom(surviving[i]), symbols,
+                        match_options, &stats, scratch);
+        ++out->tag_runs;
+        out->configurations += stats.configurations;
+        out->transitions += stats.transitions;
+        out->kernel_groups += stats.groups_advanced;
+        if (outcome == MatchOutcome::kUnknown) {
+          *reason = stats.stopped != StopCause::kNone ? stats.stopped
+                                                      : StopCause::kStepBudget;
+          if (stats.budget_exhausted) out->budget_exhausted = true;
+          return CandidateFate::kUnknown;
+        }
+        if (outcome == MatchOutcome::kAccepted) {
+          ++matched;
+        } else if (cut_off()) {
+          return CandidateFate::kDecided;
+        }
       }
-      MatchStats stats;
-      MatchOutcome outcome =
-          matcher.Run(working.SuffixFrom(surviving[i]), symbols, match_options,
-                      &stats, scratch);
-      ++out->tag_runs;
-      out->configurations += stats.configurations;
-      out->transitions += stats.transitions;
-      out->kernel_groups += stats.groups_advanced;
-      if (outcome == MatchOutcome::kUnknown) {
-        *reason = stats.stopped != StopCause::kNone ? stats.stopped
-                                                    : StopCause::kStepBudget;
-        if (stats.budget_exhausted) out->budget_exhausted = true;
-        return CandidateFate::kUnknown;
-      }
-      if (outcome == MatchOutcome::kAccepted) ++matched;
     }
-    double frequency = static_cast<double>(matched) /
-                       static_cast<double>(report.total_roots);
-    if (frequency > problem.min_confidence) {
-      out->solutions.push_back(DiscoveredType{phi, frequency, matched});
+    if (clears(matched)) {
+      out->solutions.push_back(DiscoveredType{
+          phi,
+          static_cast<double>(matched) /
+              static_cast<double>(report.total_roots),
+          matched});
       ++out->confirmed;
     } else {
       ++out->refuted;

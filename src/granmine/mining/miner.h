@@ -21,7 +21,10 @@ struct MinerOptions {
   /// Step 2: reduce the event sequence by definedness requirements.
   bool reduce_sequence = true;
   /// Step 3: discard reference occurrences whose derived windows are
-  /// unsatisfiable.
+  /// unsatisfiable, then cut roots per candidate: step 5 runs φ only at
+  /// the roots where every φ(v) has a usable event in v's window, and stops
+  /// once φ can no longer clear min_confidence. Off, step 5 runs every
+  /// candidate at every reference occurrence.
   bool reduce_roots = true;
   /// Step 4: screen candidate types through induced discovery problems up
   /// to this many non-root variables (0 = off; 1 = window screening;
@@ -92,7 +95,11 @@ struct MinerOptions {
 
 /// The §5 discovery procedure: steps 1-4 shrink the search space, step 5
 /// scans the sequence with one anchored TAG run per (candidate, reference
-/// occurrence), using a single skeleton TAG for every candidate. With
+/// occurrence), using a single skeleton TAG for every candidate. With step 3
+/// on, a read-only eligibility table (one bitset over the surviving roots
+/// per variable and allowed type) limits each candidate's runs to the roots
+/// its types can match at, and a candidate stops as soon as it cannot clear
+/// the threshold; tag_runs counts only the runs made. With
 /// `MinerOptions::num_threads > 1` the step-5 scans fan out across a fixed
 /// thread pool: the skeleton TAG, the reduced sequence and the shared
 /// granularity caches are read-only by then, each worker keeps its own

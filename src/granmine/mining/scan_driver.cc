@@ -205,6 +205,8 @@ ScanMergeResult ScanCandidates(
     merged.configurations += out.configurations;
     merged.transitions += out.transitions;
     merged.kernel_groups += out.kernel_groups;
+    merged.skipped_ineligible += out.skipped_ineligible;
+    merged.skipped_cutoff += out.skipped_cutoff;
     merged.confirmed += out.confirmed;
     merged.refuted += out.refuted;
     merged.unknown += out.unknown;
@@ -242,6 +244,10 @@ ScanMergeResult ScanCandidates(
   GM_COUNTER_ADD("granmine_mine_candidates_total", "verdict=\"not-evaluated\"",
                  merged.not_evaluated);
   GM_COUNTER_ADD("granmine_mine_tag_runs_total", "", merged.tag_runs);
+  GM_COUNTER_ADD("granmine_mine_tag_runs_skipped_total",
+                 "reason=\"ineligible\"", merged.skipped_ineligible);
+  GM_COUNTER_ADD("granmine_mine_tag_runs_skipped_total", "reason=\"cutoff\"",
+                 merged.skipped_cutoff);
   GM_COUNTER_ADD("granmine_tag_configurations_total", "",
                  merged.configurations);
   GM_COUNTER_ADD("granmine_tag_transitions_total", "", merged.transitions);

@@ -46,6 +46,11 @@ struct ScanOutcome {
   /// from MatchStats by the evaluator; flushed to the obs layer on merge).
   std::uint64_t transitions = 0;
   std::uint64_t kernel_groups = 0;
+  /// TAG runs the evaluator decided without running: roots where some φ(v)
+  /// has no usable event in v's window, and roots left when the candidate
+  /// could no longer clear the confidence threshold.
+  std::uint64_t skipped_ineligible = 0;
+  std::uint64_t skipped_cutoff = 0;
   /// First cause (candidate order) that interrupted work in this range.
   StopCause first_stop = StopCause::kNone;
   /// The stopping candidate hit the matcher's local configuration budget
@@ -105,6 +110,8 @@ struct ScanMergeResult {
   std::uint64_t configurations = 0;
   std::uint64_t transitions = 0;
   std::uint64_t kernel_groups = 0;
+  std::uint64_t skipped_ineligible = 0;
+  std::uint64_t skipped_cutoff = 0;
   /// First stop cause in candidate order, kNone when nothing was interrupted.
   StopCause first_stop = StopCause::kNone;
   /// Abort mode only: the first interruption as a Status (OK under kPartial

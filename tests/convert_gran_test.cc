@@ -87,6 +87,18 @@ TEST_F(ConvertGranTest, SupportCoversTerminatesWhenGappedTicksTileTheLine) {
   EXPECT_FALSE(SupportCovers(*week_long, *tiles));
 }
 
+TEST_F(ConvertGranTest, SupportCoversSeeksAcrossASparseSourcesGaps) {
+  // One kept day every 3e9 days (a multiple of 7, so every kept day is a
+  // Monday like day 5): the target's support is reached by seeking to the
+  // tick under each source piece, not by walking billions of b-days.
+  const Granularity* sparse = system_->AddFilter(
+      "sparse", &Get("day"), PeriodicPattern{3'000'000'003, {4}});
+  ASSERT_NE(sparse, nullptr);
+  EXPECT_TRUE(SupportCovers(Get("b-day"), *sparse));
+  EXPECT_FALSE(SupportCovers(Get("weekend-day"), *sparse));
+  EXPECT_FALSE(SupportCovers(*sparse, Get("b-day")));
+}
+
 TEST_F(ConvertGranTest, FullSupportCoverage) {
   // day covers b-day's support, not vice versa.
   EXPECT_TRUE(SupportCovers(Get("day"), Get("b-day")));

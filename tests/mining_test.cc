@@ -135,6 +135,54 @@ TEST_F(StockMiningTest, NaiveAndOptimizedAgree) {
   EXPECT_LE(optimized_report->tag_runs, naive_report->tag_runs);
 }
 
+TEST_F(StockMiningTest, MineScanShapeSkipsRunsThatCannotMatch) {
+  // The serving benchmark's mine-scan request: every non-root variable free,
+  // 10 trading days, θ 0.3. Step 5 runs a candidate only at the roots where
+  // each of its types has a usable event in the variable's window, and stops
+  // once it can no longer clear θ.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    StockWorkloadOptions options;
+    options.trading_days = 10;
+    options.seed = seed;
+    Workload workload = MakeStockWorkload(*system_, options);
+    DiscoveryProblem problem;
+    problem.structure = &structure_;
+    problem.min_confidence = 0.3;
+    problem.reference_type = *workload.registry.Find("IBM-rise");
+    problem.allowed.assign(4, {});
+
+    Miner naive(system_.get(), MinerOptions::Naive());
+    auto naive_report = naive.Mine(problem, workload.sequence);
+    ASSERT_TRUE(naive_report.ok()) << naive_report.status();
+    Miner serial(system_.get());
+    auto report = serial.Mine(problem, workload.sequence);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(Normalize(*naive_report), Normalize(*report)) << "seed=" << seed;
+    EXPECT_FALSE(report->solutions.empty()) << "seed=" << seed;
+    // Fewer runs than one per (screened candidate, surviving root).
+    EXPECT_LT(report->tag_runs, report->candidates_after_screening *
+                                    report->roots_after_reduction)
+        << "seed=" << seed;
+    EXPECT_LT(report->tag_runs, naive_report->tag_runs);
+
+    MinerOptions four;
+    four.num_threads = 4;
+    Miner parallel(system_.get(), four);
+    auto parallel_report = parallel.Mine(problem, workload.sequence);
+    ASSERT_TRUE(parallel_report.ok()) << parallel_report.status();
+    ASSERT_EQ(parallel_report->solutions.size(), report->solutions.size());
+    for (std::size_t i = 0; i < report->solutions.size(); ++i) {
+      EXPECT_EQ(parallel_report->solutions[i].assignment,
+                report->solutions[i].assignment);
+      EXPECT_EQ(parallel_report->solutions[i].matched_roots,
+                report->solutions[i].matched_roots);
+    }
+    EXPECT_EQ(parallel_report->tag_runs, report->tag_runs);
+    EXPECT_EQ(parallel_report->matcher_configurations,
+              report->matcher_configurations);
+  }
+}
+
 TEST_F(StockMiningTest, StepInstrumentationIsPopulated) {
   StockWorkloadOptions options;
   options.trading_days = 40;
@@ -226,28 +274,38 @@ TEST_F(ToyMiningTest, AblationsAgreeWithNaive) {
 
     DiscoveryProblem problem;
     problem.structure = &s;
-    problem.min_confidence = 0.05 + 0.3 * rng.UniformReal();
     problem.reference_type = 0;
-    if (seq.CountOf(0) == 0) continue;
+    const std::size_t total = seq.CountOf(0);
+    if (total == 0) continue;
 
-    Miner naive(&toy_, MinerOptions::Naive());
-    auto baseline = naive.Mine(problem, seq);
-    ASSERT_TRUE(baseline.ok()) << baseline.status();
-    if (!baseline->solutions.empty()) ++nonempty;
+    // One random θ, then θ exactly k / total_roots for every k: a candidate
+    // matching k roots sits on the threshold, where the strict > refutes it
+    // and the step-5 cut-off must agree.
+    std::vector<double> thetas = {0.05 + 0.3 * rng.UniformReal()};
+    for (std::size_t k = 0; k <= total; ++k) {
+      thetas.push_back(static_cast<double>(k) / static_cast<double>(total));
+    }
+    for (double theta : thetas) {
+      problem.min_confidence = theta;
+      Miner naive(&toy_, MinerOptions::Naive());
+      auto baseline = naive.Mine(problem, seq);
+      ASSERT_TRUE(baseline.ok()) << baseline.status();
+      if (!baseline->solutions.empty()) ++nonempty;
 
-    for (int mask = 1; mask < 16; ++mask) {
-      MinerOptions options = MinerOptions::Naive();
-      options.check_consistency = mask & 1;
-      options.reduce_sequence = mask & 2;
-      options.reduce_roots = mask & 4;
-      options.screening_depth = (mask & 8) ? 2 : 0;
-      options.use_window_deadlines = mask & 4;
-      Miner ablated(&toy_, options);
-      auto report = ablated.Mine(problem, seq);
-      ASSERT_TRUE(report.ok()) << report.status();
-      ASSERT_EQ(Normalize(*baseline), Normalize(*report))
-          << s.ToString() << "\nmask=" << mask << " trial=" << trial
-          << " theta=" << problem.min_confidence << " root=" << root;
+      for (int mask = 1; mask < 16; ++mask) {
+        MinerOptions options = MinerOptions::Naive();
+        options.check_consistency = mask & 1;
+        options.reduce_sequence = mask & 2;
+        options.reduce_roots = mask & 4;
+        options.screening_depth = (mask & 8) ? 2 : 0;
+        options.use_window_deadlines = mask & 4;
+        Miner ablated(&toy_, options);
+        auto report = ablated.Mine(problem, seq);
+        ASSERT_TRUE(report.ok()) << report.status();
+        ASSERT_EQ(Normalize(*baseline), Normalize(*report))
+            << s.ToString() << "\nmask=" << mask << " trial=" << trial
+            << " theta=" << problem.min_confidence << " root=" << root;
+      }
     }
   }
   EXPECT_GT(nonempty, 5);  // the family exercises real discoveries

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "granmine/obs/metrics.h"
+#include "granmine/mining/miner.h"
 #include "granmine/obs/trace.h"
 #include "granmine/stream/online_miner.h"
 #include "granmine/granularity/system.h"
@@ -295,8 +296,9 @@ TEST_F(ObsTest, SpanStraddlingADisableIsDroppedNotCorrupted) {
 // deterministic pseudo-random stream stream_test.cc uses): every metric
 // family except granmine_executor_* — whose chunk accounting legitimately
 // depends on the worker count — must be byte-identical between a serial and
-// a 4-thread run of the identical workload.
-std::string FilteredStreamMetrics(int threads) {
+// a 4-thread run of the identical workload. `batch` mines the same events
+// with the batch Miner instead of streaming them.
+std::string FilteredMetrics(int threads, bool batch) {
   GranularitySystem toy;
   const Granularity* unit = toy.AddUniform("unit", 1);
   EventStructure s;
@@ -326,18 +328,28 @@ std::string FilteredStreamMetrics(int threads) {
   registry.Reset();
   registry.set_enabled(true);
 
-  OnlineMinerOptions options;
-  options.num_threads = threads;
-  Result<OnlineMiner> miner = OnlineMiner::Create(&toy, problem, options);
-  EXPECT_TRUE(miner.ok()) << miner.status();
-  for (const Event& event : events) {
-    EXPECT_TRUE(miner->Ingest(event).ok());
+  if (batch) {
+    problem.min_confidence = 0.5;  // high enough to refute some candidates
+    EventSequence sequence;
+    for (const Event& event : events) sequence.Add(event.type, event.time);
+    MinerOptions options;
+    options.num_threads = threads;
+    Result<MiningReport> report = Miner(&toy, options).Mine(problem, sequence);
+    EXPECT_TRUE(report.ok()) << report.status();
+  } else {
+    OnlineMinerOptions options;
+    options.num_threads = threads;
+    Result<OnlineMiner> miner = OnlineMiner::Create(&toy, problem, options);
+    EXPECT_TRUE(miner.ok()) << miner.status();
+    for (const Event& event : events) {
+      EXPECT_TRUE(miner->Ingest(event).ok());
+    }
+    Result<MiningReport> mid = miner->Snapshot();
+    EXPECT_TRUE(mid.ok());
+    miner->Seal();
+    Result<MiningReport> report = miner->Snapshot();
+    EXPECT_TRUE(report.ok());
   }
-  Result<MiningReport> mid = miner->Snapshot();
-  EXPECT_TRUE(mid.ok());
-  miner->Seal();
-  Result<MiningReport> report = miner->Snapshot();
-  EXPECT_TRUE(report.ok());
   registry.set_enabled(false);
 
   std::istringstream lines(registry.Snapshot().ToPrometheusText());
@@ -352,15 +364,33 @@ std::string FilteredStreamMetrics(int threads) {
 }
 
 TEST_F(ObsTest, StreamMetricsAreByteIdenticalAcrossThreadCounts) {
-  const std::string serial = FilteredStreamMetrics(1);
+  const std::string serial = FilteredMetrics(1, /*batch=*/false);
   // The instrumented families must actually be present, not vacuously equal.
   EXPECT_NE(serial.find("granmine_stream_events_ingested_total 48"),
             std::string::npos)
       << serial;
   EXPECT_NE(serial.find("granmine_tag_transitions_total"), std::string::npos);
   EXPECT_NE(serial.find("granmine_mine_scans_total"), std::string::npos);
+  EXPECT_NE(serial.find("granmine_mine_tag_runs_skipped_total"),
+            std::string::npos);
   for (int threads : {2, 4}) {
-    EXPECT_EQ(serial, FilteredStreamMetrics(threads))
+    EXPECT_EQ(serial, FilteredMetrics(threads, /*batch=*/false))
+        << "threads=" << threads;
+  }
+}
+
+TEST_F(ObsTest, MineMetricsAreByteIdenticalAcrossThreadCounts) {
+  const std::string serial = FilteredMetrics(1, /*batch=*/true);
+  // The batch scan skips real runs on this fixture, for both reasons.
+  for (const char* reason : {"ineligible", "cutoff"}) {
+    const std::string family = std::string(
+        "granmine_mine_tag_runs_skipped_total{reason=\"") + reason + "\"} ";
+    const std::size_t at = serial.find(family);
+    ASSERT_NE(at, std::string::npos) << serial;
+    EXPECT_NE(serial.compare(at + family.size(), 2, "0\n"), 0) << serial;
+  }
+  for (int threads : {2, 4}) {
+    EXPECT_EQ(serial, FilteredMetrics(threads, /*batch=*/true))
         << "threads=" << threads;
   }
 }

@@ -222,6 +222,7 @@ TEST(TextFormatFuzzTest, HostileGranularityDefinitionsAreRejected) {
       "filter(day, 7, -1)",
       "filter(day, 7, 0 0)",      // repeated offset
       "filter(day, 7, 3 1 3)",    // repeated after sorting
+      "filter(day, 9223372036854775807, 0)",  // hulls overflow int64
       "groupby(month, day)",      // outer ticks hold no inner tick
       "groupby(week, b-day)",     // no b-day holds a whole week
       "synthetic(7)",
@@ -248,8 +249,9 @@ TEST(TextFormatFuzzTest, HostileGranularityDefinitionsAreRejected) {
   }
   // Shapes the parser accepts syntactically but the granularity layer must
   // refuse (they once aborted the process on a GM_CHECK).
-  for (const char* expression : {"filter(day, 7, 0 0)", "groupby(month, day)",
-                                 "groupby(week, b-day)"}) {
+  for (const char* expression :
+       {"filter(day, 7, 0 0)", "groupby(month, day)", "groupby(week, b-day)",
+        "filter(day, 9223372036854775807, 0)"}) {
     auto system = MakeToySystem();
     Result<const Granularity*> defined =
         ParseGranularityDefinition("hostile", expression, system.get());

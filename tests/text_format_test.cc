@@ -178,6 +178,9 @@ TEST_F(TextFormatTest, MalformedFilterAndGroupByAreParseErrors) {
        "sorted and distinct"},
       {"granularity x = groupby(month, day)\na -> b : [0,1] x\n",
        "contains no tick of month"},
+      {"granularity x = filter(day, 9223372036854775807, 0)\n"
+       "a -> b : [0,1] x\n",
+       "too large for its base's hull arithmetic"},
   };
   for (const auto& c : kCases) {
     auto structure = ParseEventStructure(c.text, system.get());
