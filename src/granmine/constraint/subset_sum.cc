@@ -36,6 +36,7 @@ Result<SubsetSumStructure> BuildSubsetSumStructure(
     const Granularity* n_month = system->Find(group_name);
     if (n_month == nullptr) {
       n_month = system->AddGroup(group_name, month, n_i);
+      if (n_month == nullptr) return system->last_add_error();
     }
     GM_RETURN_NOT_OK(out.structure.AddConstraint(
         out.x[i], out.x[i + 1], Tcg::Of(0, n_i, month)));

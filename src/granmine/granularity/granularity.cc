@@ -93,4 +93,16 @@ std::optional<Tick> LastTickStartingAtOrBefore(const Granularity& g,
   return lo;
 }
 
+Tick LastFittingTick(const Granularity& g) {
+  // Past tick settled, every ticks_per_period further ticks end at most one
+  // period later than the ticks before them.
+  const Granularity::Periodicity p = g.periodicity();
+  const Tick settled = g.LastDeviantTick() + p.ticks_per_period;
+  const TimePoint end = g.TickHull(settled)->last;
+  if (end >= kInfinity) return 0;
+  const std::int64_t cycles = (kInfinity - 1 - end) / p.period;
+  if (cycles > (kInfinity - settled) / p.ticks_per_period) return kInfinity;
+  return settled + cycles * p.ticks_per_period;
+}
+
 }  // namespace granmine

@@ -89,8 +89,9 @@ class Granularity {
   virtual bool IsStrictlyPeriodic() const { return true; }
 
   /// For non-strictly-periodic types: an upper bound on the last tick index
-  /// whose hull deviates from the pure periodic pattern; ticks after it obey
-  /// `periodicity()`. Meaningless (0) for strictly periodic types.
+  /// whose hull or extent deviates from the pure periodic pattern; ticks
+  /// after it, extents included, obey `periodicity()`. Meaningless (0) for
+  /// strictly periodic types.
   virtual Tick LastDeviantTick() const { return 0; }
 
   /// Exact closed-form tables where available (uniform types); nullopt means
@@ -123,6 +124,11 @@ Tick FirstTickEndingAtOrAfter(const Granularity& g, TimePoint t);
 /// the start of tick 1.
 std::optional<Tick> LastTickStartingAtOrBefore(const Granularity& g,
                                                TimePoint t);
+
+/// The last tick whose hull is known to end below kInfinity (0 when the
+/// first cycle already reaches it), at most kInfinity: every tick up to it
+/// can be asked for its hull without int64 overflow.
+Tick LastFittingTick(const Granularity& g);
 
 }  // namespace granmine
 

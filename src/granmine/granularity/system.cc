@@ -82,9 +82,8 @@ const Granularity* GranularitySystem::Register(
   return raw;
 }
 
-template <typename T>
 const Granularity* GranularitySystem::RegisterOrReject(
-    Result<std::unique_ptr<T>> made) {
+    PeriodicGranularity::Made made) {
   if (!made.ok()) {
     last_add_error_ = made.status();
     return nullptr;
@@ -128,7 +127,7 @@ const Granularity* GranularitySystem::AddFilter(std::string name,
                                                 PeriodicPattern pattern,
                                                 std::vector<Tick> removed) {
   if (RejectIfFrozen(name)) return nullptr;
-  return RegisterOrReject(FilterGranularity::Make(
+  return RegisterOrReject(PeriodicGranularity::Filter(
       std::move(name), base, std::move(pattern), std::move(removed)));
 }
 
@@ -137,8 +136,8 @@ const Granularity* GranularitySystem::AddGroup(std::string name,
                                                std::int64_t k,
                                                std::int64_t phase) {
   if (RejectIfFrozen(name)) return nullptr;
-  return Register(
-      std::make_unique<GroupGranularity>(std::move(name), base, k, phase));
+  return RegisterOrReject(
+      PeriodicGranularity::Group(std::move(name), base, k, phase));
 }
 
 const Granularity* GranularitySystem::AddGroupBy(std::string name,
@@ -146,14 +145,14 @@ const Granularity* GranularitySystem::AddGroupBy(std::string name,
                                                  const Granularity* outer) {
   if (RejectIfFrozen(name)) return nullptr;
   return RegisterOrReject(
-      GroupByGranularity::Make(std::move(name), inner, outer));
+      PeriodicGranularity::GroupBy(std::move(name), inner, outer));
 }
 
 const Granularity* GranularitySystem::AddSynthetic(
     std::string name, std::int64_t period, std::vector<TimeSpan> ticks,
     TimePoint origin) {
   if (RejectIfFrozen(name)) return nullptr;
-  return Register(std::make_unique<SyntheticGranularity>(
+  return RegisterOrReject(PeriodicGranularity::Synthetic(
       std::move(name), period, std::move(ticks), origin));
 }
 

@@ -13,10 +13,8 @@
 #include "granmine/granularity/calendar_types.h"
 #include "granmine/granularity/civil_calendar.h"
 #include "granmine/granularity/convert.h"
-#include "granmine/granularity/filter.h"
 #include "granmine/granularity/granularity.h"
-#include "granmine/granularity/group.h"
-#include "granmine/granularity/synthetic.h"
+#include "granmine/granularity/periodic.h"
 #include "granmine/granularity/tables.h"
 #include "granmine/granularity/uniform.h"
 
@@ -80,6 +78,9 @@ class GranularitySystem {
                                 TimePoint offset = 0);
   const Granularity* AddMonths(std::string name, std::int64_t units_per_day);
   const Granularity* AddYears(std::string name, std::int64_t units_per_day);
+  /// The derived types compile into a `PeriodicGranularity` (periodic.h);
+  /// a refused definition returns nullptr with the reason in
+  /// `last_add_error()`.
   const Granularity* AddFilter(std::string name, const Granularity* base,
                                PeriodicPattern pattern,
                                std::vector<Tick> removed = {});
@@ -127,9 +128,8 @@ class GranularitySystem {
 
  private:
   const Granularity* Register(std::unique_ptr<Granularity> g);
-  /// Registers a validated granularity, or records why it was refused.
-  template <typename T>
-  const Granularity* RegisterOrReject(Result<std::unique_ptr<T>> made);
+  /// Registers a compiled granularity, or records why it was refused.
+  const Granularity* RegisterOrReject(PeriodicGranularity::Made made);
   /// Records and rejects a post-freeze `Add*`; returns true when frozen.
   bool RejectIfFrozen(const std::string& name);
 

@@ -9,33 +9,79 @@
 
 namespace granmine {
 
-GranularityTables::GranularityTables() : GranularityTables(Options{}) {}
+namespace {
 
-GranularityTables::GranularityTables(Options options) : options_(options) {}
+// Start positions [1, LastDeviantTick + ticks_per_period] exhibit every span
+// and gap shape: past the deviant window hulls follow the periodic pattern
+// (see DESIGN.md).
+std::int64_t ScanStarts(const Granularity& g) {
+  return g.LastDeviantTick() + g.periodicity().ticks_per_period;
+}
+
+// The last tick whose hull a scan of g may read.
+Tick ScanLimit(const Granularity& g) {
+  return std::min<Tick>(GranularityTables::kScanTickCap, LastFittingTick(g));
+}
+
+// Folds one table value over start positions 1..starts: the span of ticks
+// i..i+k-1, or with `min_gap` the distance from tick i to tick i+k.
+// `hull(z)` yields the hull of tick z.
+template <typename HullOf>
+std::int64_t Fold(bool min_gap, bool maximize, std::int64_t starts,
+                  std::int64_t k, const HullOf& hull) {
+  const Tick offset = min_gap ? k : k - 1;
+  std::int64_t best = maximize ? 0 : kInfinity;
+  for (Tick i = 1; i <= starts; ++i) {
+    const TimeSpan lo = hull(i);
+    const TimeSpan hi = hull(i + offset);
+    const std::int64_t value =
+        min_gap ? hi.first - lo.last : hi.last - lo.first + 1;
+    best = maximize ? std::max(best, value) : std::min(best, value);
+  }
+  return best;
+}
+
+}  // namespace
 
 void GranularityTables::Seal(const std::vector<const Granularity*>& family) {
   if (sealed_) return;
   sealed_entries_.clear();
   sealed_entries_.resize(family.size());
+  std::vector<TimeSpan> hulls;
   for (std::size_t id = 0; id < family.size(); ++id) {
     const Granularity* g = family[id];
     GM_CHECK(g != nullptr);
     GM_CHECK(g->id() == static_cast<GranularityId>(id));
+    // Every scanned k reads the hulls of ticks 1..starts + k: read them once
+    // for all k, up to the scan limit.
+    const std::int64_t starts = ScanStarts(*g);
+    const Tick limit = ScanLimit(*g);
+    const Tick buffered =
+        starts <= limit ? std::min(starts + kSealedKCap, limit) : 0;
+    hulls.clear();
+    for (Tick z = 1; z <= buffered; ++z) hulls.push_back(*g->TickHull(z));
+    const auto value = [&](Table table, std::int64_t k) {
+      std::optional<std::int64_t> v = Analytic(table, *g, k);
+      const bool min_gap = table == Table::kMinGap;
+      if (!v.has_value() &&
+          starts + (min_gap ? k : k - 1) <=
+              static_cast<std::int64_t>(hulls.size())) {
+        v = Fold(min_gap, table == Table::kMaxSize, starts, k, [&](Tick z) {
+          return hulls[static_cast<std::size_t>(z - 1)];
+        });
+      }
+      return v.value_or(kSealedNoValue);
+    };
     SealedEntry& slot = sealed_entries_[id];
-    slot.minsize.assign(static_cast<std::size_t>(kSealedKCap) + 1,
-                        kSealedNoValue);
-    slot.maxsize.assign(static_cast<std::size_t>(kSealedKCap) + 1,
-                        kSealedNoValue);
-    slot.mingap.assign(static_cast<std::size_t>(kSealedKCap) + 1,
-                       kSealedNoValue);
+    const std::size_t width = static_cast<std::size_t>(kSealedKCap) + 1;
+    slot.minsize.assign(width, kSealedNoValue);
+    slot.maxsize.assign(width, kSealedNoValue);
+    slot.mingap.assign(width, kSealedNoValue);
     for (std::int64_t k = 1; k <= kSealedKCap; ++k) {
-      auto store = [k](std::vector<std::int64_t>& table,
-                       std::optional<std::int64_t> v) {
-        table[static_cast<std::size_t>(k)] = v.value_or(kSealedNoValue);
-      };
-      store(slot.minsize, MinSize(*g, k));
-      store(slot.maxsize, MaxSize(*g, k));
-      store(slot.mingap, MinGap(*g, k));
+      const std::size_t i = static_cast<std::size_t>(k);
+      slot.minsize[i] = value(Table::kMinSize, k);
+      slot.maxsize[i] = value(Table::kMaxSize, k);
+      slot.mingap[i] = value(Table::kMinGap, k);
     }
     // Publish the guard pointer last: SealedValue only trusts a slot whose
     // address matches, so a granularity from a *different* system that
@@ -136,32 +182,6 @@ GranularityTables::Entry& GranularityTables::EntryFor(const Granularity& g) {
   return *slot;
 }
 
-std::optional<TimeSpan> GranularityTables::HullAt(Entry& entry,
-                                                  const Granularity& g,
-                                                  Tick z) {
-  GM_CHECK(z >= 1);
-  if (z > options_.hull_cache_cap) return std::nullopt;
-  std::size_t index = static_cast<std::size_t>(z - 1);
-  if (index >= entry.hulls.size()) {
-    std::size_t old = entry.hulls.size();
-    entry.hulls.resize(
-        std::max<std::size_t>(index + 1, old + old / 2 + 16));
-    for (std::size_t i = old; i < entry.hulls.size(); ++i) {
-      std::optional<TimeSpan> hull = g.TickHull(static_cast<Tick>(i) + 1);
-      GM_CHECK(hull.has_value());
-      entry.hulls[i] = *hull;
-    }
-  }
-  return entry.hulls[index];
-}
-
-std::int64_t GranularityTables::ScanStarts(const Granularity& g) const {
-  // Hulls of ticks past LastDeviantTick() follow the periodic pattern, so
-  // start positions [1, LastDeviantTick + ticks_per_period] exhibit every
-  // possible span/gap shape (see DESIGN.md).
-  return g.LastDeviantTick() + g.periodicity().ticks_per_period;
-}
-
 std::optional<std::int64_t> GranularityTables::ScannedValue(
     Table table, const Granularity& g, std::int64_t k) {
   Entry& entry = EntryFor(g);
@@ -184,7 +204,7 @@ std::optional<std::int64_t> GranularityTables::ScannedValue(
       return it->second;
     }
   }
-  // Miss: scan under the exclusive lock (HullAt mutates the hull cache).
+  // Miss: scan under the exclusive lock, so each value is scanned once.
   // Re-check first — another thread may have computed k while we waited.
   std::unique_lock<std::shared_mutex> lock(entry.mutex);
   auto& memo = memo_of(entry);
@@ -193,49 +213,54 @@ std::optional<std::int64_t> GranularityTables::ScannedValue(
     return it->second;
   }
   GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"miss\"", 1);
-  const bool maximize = table == Table::kMaxSize;
-  const Tick hi_offset = table == Table::kMinGap ? k : k - 1;
-  std::int64_t starts = ScanStarts(g);
-  std::int64_t best = maximize ? 0 : kInfinity;
-  for (Tick i = 1; i <= starts; ++i) {
-    std::optional<TimeSpan> lo = HullAt(entry, g, i);
-    std::optional<TimeSpan> hi = HullAt(entry, g, i + hi_offset);
-    if (!lo.has_value() || !hi.has_value()) return std::nullopt;
-    std::int64_t value = table == Table::kMinGap
-                             ? hi->first - lo->last
-                             : hi->last - lo->first + 1;
-    best = maximize ? std::max(best, value) : std::min(best, value);
-  }
+  const bool min_gap = table == Table::kMinGap;
+  const std::int64_t starts = ScanStarts(g);
+  if ((min_gap ? k : k - 1) > ScanLimit(g) - starts) return std::nullopt;
+  const std::int64_t best =
+      Fold(min_gap, table == Table::kMaxSize, starts, k,
+           [&g](Tick z) { return *g.TickHull(z); });
   memo.emplace(k, best);
   return best;
+}
+
+std::optional<std::int64_t> GranularityTables::Analytic(Table table,
+                                                        const Granularity& g,
+                                                        std::int64_t k) {
+  switch (table) {
+    case Table::kMinSize:
+      return g.AnalyticMinSize(k);
+    case Table::kMaxSize:
+      return g.AnalyticMaxSize(k);
+    default:
+      return g.AnalyticMinGap(k);
+  }
+}
+
+std::optional<std::int64_t> GranularityTables::Value(Table table,
+                                                     const Granularity& g,
+                                                     std::int64_t k) {
+  if (auto sealed = SealedValue(table, g, k); sealed.has_value()) {
+    GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"sealed\"", 1);
+    return *sealed;
+  }
+  if (std::optional<std::int64_t> v = Analytic(table, g, k); v.has_value()) {
+    return v;
+  }
+  return ScannedValue(table, g, k);
 }
 
 std::optional<std::int64_t> GranularityTables::MinSize(const Granularity& g,
                                                        std::int64_t k) {
   GM_CHECK(k >= 0);
   if (k == 0) return 0;
-  if (auto sealed = SealedValue(Table::kMinSize, g, k); sealed.has_value()) {
-    GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"sealed\"", 1);
-    return *sealed;
-  }
-  if (std::optional<std::int64_t> v = g.AnalyticMinSize(k); v.has_value()) {
-    return v;
-  }
-  return ScannedValue(Table::kMinSize, g, k);
+  return Value(Table::kMinSize, g, k);
 }
 
 std::optional<std::int64_t> GranularityTables::MaxSize(const Granularity& g,
                                                        std::int64_t k) {
   GM_CHECK(k >= 0);
   if (k == 0) return 0;
-  if (auto sealed = SealedValue(Table::kMaxSize, g, k); sealed.has_value()) {
-    GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"sealed\"", 1);
-    return *sealed;
-  }
-  if (std::optional<std::int64_t> v = g.AnalyticMaxSize(k); v.has_value()) {
-    return v;
-  }
-  return ScannedValue(Table::kMaxSize, g, k);
+  return Value(Table::kMaxSize, g, k);
 }
 
 std::optional<std::int64_t> GranularityTables::MinGap(const Granularity& g,
@@ -246,14 +271,7 @@ std::optional<std::int64_t> GranularityTables::MinGap(const Granularity& g,
     if (!max1.has_value()) return std::nullopt;
     return 1 - *max1;
   }
-  if (auto sealed = SealedValue(Table::kMinGap, g, k); sealed.has_value()) {
-    GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"sealed\"", 1);
-    return *sealed;
-  }
-  if (std::optional<std::int64_t> v = g.AnalyticMinGap(k); v.has_value()) {
-    return v;
-  }
-  return ScannedValue(Table::kMinGap, g, k);
+  return Value(Table::kMinGap, g, k);
 }
 
 std::optional<std::int64_t> GranularityTables::LeastTicksCovering(

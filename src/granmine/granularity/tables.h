@@ -25,8 +25,9 @@ namespace granmine {
 /// Values are exact: uniform types answer in closed form; periodic types are
 /// scanned over one period of start positions (plus the finite exception
 /// window of holiday overlays), which covers every hull pattern the type can
-/// exhibit. Queries return nullopt only when a scan would exceed the
-/// configured cap; callers treat that conservatively (no bound derived).
+/// exhibit. Queries return nullopt only when a scan would read a hull past
+/// tick `kScanTickCap` (or past `LastFittingTick`); callers treat that
+/// conservatively (no bound derived).
 ///
 /// Identity has two phases. While *building*, granularities are keyed by
 /// address in a sharded hashed directory; after `Seal()` (driven by
@@ -45,18 +46,14 @@ namespace granmine {
 /// docs/concurrency.md and docs/architecture.md.
 class GranularityTables {
  public:
-  struct Options {
-    /// Maximum tick index whose hull may be materialized per granularity.
-    std::int64_t hull_cache_cap = std::int64_t{1} << 20;
-  };
-
   /// Largest k precomputed per (granularity, table) by `Seal`. Constraint
   /// conversion and propagation consult small k almost exclusively; larger
   /// k (deep binary-search probes of the Least* queries) stay on the memo.
   static constexpr std::int64_t kSealedKCap = 128;
 
-  GranularityTables();
-  explicit GranularityTables(Options options);
+  /// Largest tick index a table scan reads; also the most ticks one cycle
+  /// plus the deviant window of a derived type may hold (periodic.h).
+  static constexpr std::int64_t kScanTickCap = std::int64_t{1} << 20;
 
   /// Freezes the table set for `family` (granularities listed in id order,
   /// `family[i]->id() == i`): precomputes minsize/maxsize/mingap for every
@@ -122,7 +119,6 @@ class GranularityTables {
   /// One per-granularity shard: its own lock plus the memoized tables.
   struct Entry {
     std::shared_mutex mutex;
-    std::vector<TimeSpan> hulls;  // hulls[i] = hull of tick i+1
     std::unordered_map<std::int64_t, std::int64_t> minsize;
     std::unordered_map<std::int64_t, std::int64_t> maxsize;
     std::unordered_map<std::int64_t, std::int64_t> mingap;
@@ -143,15 +139,17 @@ class GranularityTables {
   };
 
   Entry& EntryFor(const Granularity& g);
+  /// The granularity's closed-form value for k >= 1, if it has one.
+  static std::optional<std::int64_t> Analytic(Table table,
+                                              const Granularity& g,
+                                              std::int64_t k);
+  /// One table value for k >= 1: sealed, analytic or scanned.
+  std::optional<std::int64_t> Value(Table table, const Granularity& g,
+                                    std::int64_t k);
   /// Memoized lookup/compute of one table value for k >= 1 (analytic paths
   /// already exhausted by the caller). Locks the entry internally.
   std::optional<std::int64_t> ScannedValue(Table table, const Granularity& g,
                                            std::int64_t k);
-  /// Hull of tick z via the per-granularity cache; nullopt past the cap.
-  /// Requires the entry's exclusive lock.
-  std::optional<TimeSpan> HullAt(Entry& entry, const Granularity& g, Tick z);
-  /// Number of distinct scan start positions needed for exactness.
-  std::int64_t ScanStarts(const Granularity& g) const;
 
   /// Sealed fast path of ScannedValue: the precomputed value for
   /// (table, g, k), or nullopt when the lookup must fall back to the memo
@@ -160,7 +158,6 @@ class GranularityTables {
   std::optional<std::optional<std::int64_t>> SealedValue(
       Table table, const Granularity& g, std::int64_t k) const;
 
-  Options options_;
   std::shared_mutex entries_mutex_;
   // unique_ptr values keep Entry addresses stable and the map movable even
   // though Entry itself (owning a mutex) is not.

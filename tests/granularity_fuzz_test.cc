@@ -1,9 +1,9 @@
 // Property/fuzz tests over randomly generated periodic granularities and
 // their compositions: the §2 axioms, table exactness against brute force,
 // and the ⌈z⌉/support operators against their set-theoretic definitions.
-// The filter oracles pin the closed-form tick indexing of FilterGranularity
-// and the merge-walk SupportCovers against linear and per-instant
-// enumeration, including holiday-style removed ticks and far ticks.
+// The filter oracles pin the compiled filters' tick indexing and the
+// merge-walk SupportCovers against linear and per-instant enumeration,
+// including holiday-style removed ticks and far ticks.
 
 #include <gtest/gtest.h>
 
@@ -100,24 +100,44 @@ TEST_F(GranularityFuzzTest, PeriodicityContract) {
   }
 }
 
-TEST_F(GranularityFuzzTest, TablesMatchBruteForce) {
-  GranularityTables& tables = system_.tables();
-  for (const Granularity* g : types_) {
-    for (std::int64_t k : {1, 2, 3, 5, 9}) {
-      std::int64_t min_size = kInfinity, max_size = 0, min_gap = kInfinity;
-      // Brute force over plenty of start positions (covers > 3 periods).
-      for (Tick i = 1; i <= 120; ++i) {
-        TimeSpan lo = *g->TickHull(i);
-        TimeSpan hi = *g->TickHull(i + k - 1);
-        min_size = std::min(min_size, hi.last - lo.first + 1);
-        max_size = std::max(max_size, hi.last - lo.first + 1);
-        min_gap = std::min(min_gap, g->TickHull(i + k)->first - lo.last);
-      }
-      EXPECT_EQ(tables.MinSize(*g, k), min_size) << g->name() << " k=" << k;
-      EXPECT_EQ(tables.MaxSize(*g, k), max_size) << g->name() << " k=" << k;
-      EXPECT_EQ(tables.MinGap(*g, k), min_gap) << g->name() << " k=" << k;
+// Compares the tables of g with brute force over start positions
+// 1..starts, which must cover g's deviant window and several periods.
+void ExpectTablesMatchBruteForce(GranularityTables& tables,
+                                 const Granularity& g, Tick starts) {
+  for (std::int64_t k : {1, 2, 3, 5, 9}) {
+    std::int64_t min_size = kInfinity, max_size = 0, min_gap = kInfinity;
+    for (Tick i = 1; i <= starts; ++i) {
+      TimeSpan lo = *g.TickHull(i);
+      TimeSpan hi = *g.TickHull(i + k - 1);
+      min_size = std::min(min_size, hi.last - lo.first + 1);
+      max_size = std::max(max_size, hi.last - lo.first + 1);
+      min_gap = std::min(min_gap, g.TickHull(i + k)->first - lo.last);
     }
+    EXPECT_EQ(tables.MinSize(g, k), min_size) << g.name() << " k=" << k;
+    EXPECT_EQ(tables.MaxSize(g, k), max_size) << g.name() << " k=" << k;
+    EXPECT_EQ(tables.MinGap(g, k), min_gap) << g.name() << " k=" << k;
   }
+}
+
+TEST_F(GranularityFuzzTest, TablesMatchBruteForce) {
+  // 120 start positions cover more than 3 periods of every fuzz type.
+  for (const Granularity* g : types_) {
+    ExpectTablesMatchBruteForce(system_.tables(), *g, 120);
+  }
+  // A filter over an eventually periodic base: its deviant window must
+  // cover the base's holidays, or the sealed scan misses the 6-day span of
+  // two alternate business days across Christmas 1970.
+  auto days = GranularitySystem::GregorianDays(
+      {CivilDate{1970, 12, 25}, CivilDate{1971, 12, 24}});
+  const Granularity* alternate = days->AddFilter(
+      "alternate-b-day", days->Find("b-day"), PeriodicPattern{2, {0}});
+  ASSERT_NE(alternate, nullptr) << days->last_add_error();
+  const Granularity& b_day = *days->Find("b-day");
+  for (Tick z = 1; z <= 1000; ++z) {
+    ASSERT_EQ(alternate->TickHull(z), b_day.TickHull(2 * z - 1)) << z;
+  }
+  ASSERT_TRUE(days->Freeze().ok());
+  ExpectTablesMatchBruteForce(days->tables(), *alternate, 2000);
 }
 
 TEST_F(GranularityFuzzTest, InverseTableQueriesAreConsistent) {
@@ -253,10 +273,23 @@ void RemoveCluster(const PeriodicPattern& pattern, Tick from, Tick span,
   }
 }
 
-// Checks BaseTickOf over the kept base ticks of [from, to], numbered from
-// `z` (the tick of the first one): the enumerated tick, the round trip
-// through TickContaining, and CountKept.
-void ExpectTicksMatchEnumeration(const FilterGranularity& filter,
+// The pattern-kept base ticks in [1, b]: whole pattern cycles, then a
+// linear count of the rest.
+std::int64_t PatternKeptUpTo(const PeriodicPattern& pattern, Tick b) {
+  const std::int64_t cycles = b / pattern.base_period;
+  std::int64_t count =
+      cycles * static_cast<std::int64_t>(pattern.kept.size());
+  for (Tick x = cycles * pattern.base_period + 1; x <= b; ++x) {
+    count += PatternKeeps(pattern, x) ? 1 : 0;
+  }
+  return count;
+}
+
+// Checks the filter's ticks over the kept base ticks of [from, to],
+// numbered from `z` (the tick of the first one): each tick's hull is its
+// base tick's, and the base tick's first instant maps back to it.
+void ExpectTicksMatchEnumeration(const Granularity& filter,
+                                 const Granularity& base,
                                  const PeriodicPattern& pattern,
                                  const std::vector<Tick>& removed, Tick from,
                                  Tick to, Tick z) {
@@ -265,35 +298,38 @@ void ExpectTicksMatchEnumeration(const FilterGranularity& filter,
         std::binary_search(removed.begin(), removed.end(), b)) {
       continue;
     }
-    ASSERT_EQ(filter.BaseTickOf(z), b) << filter.name() << " z=" << z;
-    ASSERT_EQ(filter.CountKept(b), z) << filter.name() << " b=" << b;
-    std::optional<TimeSpan> hull = filter.TickHull(z);
-    ASSERT_TRUE(hull.has_value());
-    ASSERT_EQ(filter.TickContaining(hull->first), z)
-        << filter.name() << " z=" << z;
+    ASSERT_EQ(filter.TickHull(z), base.TickHull(b))
+        << filter.name() << " z=" << z << " b=" << b;
+    ASSERT_EQ(filter.TickContaining(base.TickHull(b)->first), z)
+        << filter.name() << " b=" << b;
     ++z;
   }
 }
 
-TEST(FilterOracleTest, BaseTickOfMatchesLinearEnumeration) {
+TEST(FilterOracleTest, TicksMatchLinearEnumeration) {
   Rng rng(20261017);
   for (int trial = 0; trial < 300; ++trial) {
-    UniformGranularity base("base", rng.Uniform(1, 3), rng.Uniform(-5, 5));
+    GranularitySystem system;
+    const Granularity* base =
+        system.AddUniform("base", rng.Uniform(1, 3), rng.Uniform(-5, 5));
     PeriodicPattern pattern = RandomPattern(rng, 9, /*gapped=*/false);
     // Holiday clusters at the start and around a far base tick.
     const Tick far = rng.Uniform(Tick{1} << 30, Tick{1} << 40);
     std::vector<Tick> removed;
     RemoveCluster(pattern, 1, 60, rng, &removed);
     RemoveCluster(pattern, far - 30, 60, rng, &removed);
-    auto made = FilterGranularity::Make("filter" + std::to_string(trial),
-                                        &base, pattern, removed);
-    ASSERT_TRUE(made.ok()) << made.status();
-    const FilterGranularity& filter = **made;
+    const Granularity* filter = system.AddFilter(
+        "filter" + std::to_string(trial), base, pattern, removed);
+    ASSERT_NE(filter, nullptr) << system.last_add_error();
 
-    ExpectTicksMatchEnumeration(filter, pattern, removed, 1, 400, 1);
+    ExpectTicksMatchEnumeration(*filter, *base, pattern, removed, 1, 400, 1);
     const Tick window = far - 100;
-    ExpectTicksMatchEnumeration(filter, pattern, removed, window, far + 100,
-                                filter.CountKept(window - 1) + 1);
+    const std::int64_t removed_before =
+        std::lower_bound(removed.begin(), removed.end(), window) -
+        removed.begin();
+    ExpectTicksMatchEnumeration(
+        *filter, *base, pattern, removed, window, far + 100,
+        PatternKeptUpTo(pattern, window - 1) - removed_before + 1);
     ASSERT_FALSE(testing::Test::HasFatalFailure()) << "trial " << trial;
   }
 }
@@ -384,6 +420,52 @@ TEST(FilterOracleTest, SupportCoversMatchesEnumerationOverCompositions) {
   EXPECT_GT(covered, pairs / 5);
   EXPECT_LT(covered, pairs - pairs / 5);
   EXPECT_GT(gapped_pairs, pairs / 4);
+}
+
+// Every compiled type of the random families, plus a grouping of each
+// holiday filter (whose deviant window it must inherit), maps the instants
+// of each tick's extent to that tick and every instant it maps to a tick
+// into that tick's extent.
+TEST(FilterOracleTest, TickContainingAgreesWithExtentOverCompositions) {
+  constexpr TimePoint kHorizon = 400;
+  for (int family = 0; family < 12; ++family) {
+    Rng rng(7170 + family);
+    GranularitySystem system;
+    std::vector<const Granularity*> types;
+    AddRandomComposition(system, rng, &types);
+    for (std::size_t i = 0, n = types.size(); i < n; ++i) {
+      if (types[i]->IsStrictlyPeriodic()) continue;
+      const Granularity* grouped =
+          system.AddGroup(types[i]->name() + "-pairs", types[i], 2);
+      ASSERT_NE(grouped, nullptr) << system.last_add_error();
+      types.push_back(grouped);
+    }
+    for (const Granularity* g : types) {
+      std::vector<TimeSpan> extent;
+      for (Tick z = 1; g->TickHull(z)->first <= kHorizon; ++z) {
+        extent.clear();
+        g->TickExtent(z, &extent);
+        ASSERT_FALSE(extent.empty()) << g->name();
+        EXPECT_EQ(extent.front().first, g->TickHull(z)->first) << g->name();
+        EXPECT_EQ(extent.back().last, g->TickHull(z)->last) << g->name();
+        for (const TimeSpan& piece : extent) {
+          for (TimePoint t = piece.first; t <= piece.last; ++t) {
+            ASSERT_EQ(g->TickContaining(t), z) << g->name() << " t=" << t;
+          }
+        }
+      }
+      for (TimePoint t = -3; t <= kHorizon; ++t) {
+        const std::optional<Tick> z = g->TickContaining(t);
+        if (!z.has_value()) continue;
+        extent.clear();
+        g->TickExtent(*z, &extent);
+        EXPECT_TRUE(std::any_of(
+            extent.begin(), extent.end(),
+            [t](const TimeSpan& piece) { return piece.Contains(t); }))
+            << g->name() << " t=" << t << " z=" << *z;
+      }
+    }
+  }
 }
 
 }  // namespace

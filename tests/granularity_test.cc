@@ -163,6 +163,43 @@ TEST_F(GregorianDaysTest, HolidaysShiftBusinessNumbering) {
   EXPECT_GE(b_day.LastDeviantTick(), 1);
 }
 
+TEST_F(GregorianDaysTest, StraddlingGroupByIsRefused) {
+  // Weeks straddle month boundaries; such a week would belong to no month
+  // while its instants still mapped to one, so the definition is refused.
+  EXPECT_EQ(system_->AddGroupBy("week-by-month", &Get("week"), &Get("month")),
+            nullptr);
+  EXPECT_EQ(system_->last_add_error().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(system_->last_add_error().message().find("crosses the boundary"),
+            std::string::npos)
+      << system_->last_add_error();
+  const Granularity* days =
+      system_->AddGroupBy("day-by-month", &Get("day"), &Get("month"));
+  ASSERT_NE(days, nullptr) << system_->last_add_error();
+  EXPECT_EQ(days->TickHull(2), Get("month").TickHull(2));
+  EXPECT_TRUE(days->HasFullSupport());
+}
+
+TEST(PeriodicCompileTest, DeviantWindowPastTheCapIsRefused) {
+  // One holiday near day 2^30 is cheap for the filter (removed ticks stay a
+  // sparse list) but would put ~3e7 outer ticks into a group-by's deviant
+  // window, past the 2^20 ticks one compile may materialize.
+  GranularitySystem system;
+  const Granularity* day = system.AddUniform("day", 1);
+  const Tick far_monday = 7 * (Tick{1} << 27) + 1;
+  const Granularity* b_day = system.AddFilter(
+      "b-day", day, PeriodicPattern{7, {0, 1, 2, 3, 4}}, {far_monday});
+  ASSERT_NE(b_day, nullptr) << system.last_add_error();
+  EXPECT_EQ(b_day->TickHull(1), TimeSpan::Of(0, 0));
+  const Granularity* month = system.AddUniform("month", 30);
+  EXPECT_EQ(system.AddGroupBy("b-month", b_day, month), nullptr);
+  EXPECT_EQ(system.last_add_error().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(system.last_add_error().message().find("too large"),
+            std::string::npos)
+      << system.last_add_error();
+  EXPECT_EQ(system.AddGroup("b-days", b_day, 1), nullptr);
+  EXPECT_EQ(system.last_add_error().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(GregorianDaysTest, GroupedMonths) {
   // `quarter` ships in the standard family as Group(month, 3).
   const Granularity& quarter = Get("quarter");

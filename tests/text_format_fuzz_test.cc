@@ -28,7 +28,6 @@ const char* const kStructureSeeds[] = {
     "granularity oddball     = synthetic(7, 0-1 3-3 5-6)\n"
     "granularity sparse      = filter(day, 10, 0 2 4)\n"
     "granularity fine        = uniform(30, 5)\n"
-    "granularity cross       = groupby(week, month)\n"
     "open -> close : [0,0] shift\n"
     "close -> audit : [1,2] fiscal-year, [0,9] oddball\n",
 
@@ -225,11 +224,16 @@ TEST(TextFormatFuzzTest, HostileGranularityDefinitionsAreRejected) {
       "filter(day, 9223372036854775807, 0)",  // hulls overflow int64
       "groupby(month, day)",      // outer ticks hold no inner tick
       "groupby(week, b-day)",     // no b-day holds a whole week
+      "groupby(week, month)",     // weeks straddle months
+      "group(day, 200000000000000)",
+      "group(month, 9000000000000000)",
       "synthetic(7)",
       "synthetic(7, 5)",
       "synthetic(7, 5-3)",
       "synthetic(7, 0-9)",
       "synthetic(7, -1-2)",
+      "synthetic(7, 3-3 0-1)",    // unsorted
+      "synthetic(7, 0-3 2-5)",    // overlapping
       "wat(1)",
       "uniform",
       "uniform(",
@@ -251,13 +255,49 @@ TEST(TextFormatFuzzTest, HostileGranularityDefinitionsAreRejected) {
   // refuse (they once aborted the process on a GM_CHECK).
   for (const char* expression :
        {"filter(day, 7, 0 0)", "groupby(month, day)", "groupby(week, b-day)",
-        "filter(day, 9223372036854775807, 0)"}) {
+        "filter(day, 9223372036854775807, 0)", "groupby(week, month)",
+        "synthetic(7, 3-3 0-1)", "synthetic(7, 0-3 2-5)",
+        "group(month, 9000000000000000)"}) {
     auto system = MakeToySystem();
     Result<const Granularity*> defined =
         ParseGranularityDefinition("hostile", expression, system.get());
     ASSERT_FALSE(defined.ok()) << expression;
     EXPECT_EQ(defined.status().code(), StatusCode::kInvalidArgument)
         << expression;
+  }
+  // In a structure file they are parse errors naming the line.
+  for (const char* definition : {"granularity x = synthetic(7, 3-3 0-1)\n",
+                                 "granularity x = synthetic(7, 0-3 2-5)\n",
+                                 "granularity x = groupby(week, month)\n"}) {
+    auto system = MakeToySystem();
+    Result<EventStructure> structure = ParseEventStructure(
+        std::string("a -> b : [0,1] day\n") + definition, system.get());
+    ASSERT_FALSE(structure.ok()) << definition;
+    EXPECT_EQ(structure.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(structure.status().message().rfind("line 2: ", 0), 0u)
+        << structure.status();
+  }
+  // On the real calendar, with holidays: groupings whose hulls overflow
+  // int64 are refused, and grouping the eventually periodic b-day compiles.
+  auto calendar = GranularitySystem::Gregorian(
+      {CivilDate{1970, 1, 2}, CivilDate{1970, 12, 25}});
+  for (const char* expression :
+       {"group(day, 200000000000000)", "group(month, 9000000000000000)"}) {
+    Result<const Granularity*> defined =
+        ParseGranularityDefinition("hostile", expression, calendar.get());
+    ASSERT_FALSE(defined.ok()) << expression;
+    EXPECT_EQ(defined.status().code(), StatusCode::kInvalidArgument)
+        << expression;
+  }
+  Result<const Granularity*> five =
+      ParseGranularityDefinition("five", "group(b-day, 5)", calendar.get());
+  ASSERT_TRUE(five.ok()) << five.status();
+  const Granularity& b_day = *calendar->Find("b-day");
+  for (Tick z : {1, 2, 50, 51, 52, 400}) {
+    EXPECT_EQ((*five)->TickHull(z),
+              TimeSpan::Of(b_day.TickHull(5 * z - 4)->first,
+                           b_day.TickHull(5 * z)->last))
+        << z;
   }
 }
 
