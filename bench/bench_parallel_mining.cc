@@ -1,12 +1,15 @@
 // E9 — thread scaling of the §5 mining pipeline: the step-5 (candidate ×
-// reference occurrence) TAG scans fan out across the Executor; this sweeps
-// the worker count over the E5 stock workload and the ATM-fraud workload.
+// reference occurrence) TAG scans fan out across a borrowed Executor; this
+// sweeps the pool width over the E5 stock workload and the ATM-fraud workload.
 // Shape to check: wall time ~1/threads up to the physical core count (the
 // workload is embarrassingly parallel; the serial steps 1-4 bound the
 // asymptote per Amdahl), and identical solution counts at every width.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "granmine/common/executor.h"
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
 #include "granmine/paper/figures.h"
@@ -76,17 +79,20 @@ Scenario MakeAtmScenario() {
 // Screening is kept at depth 1 so a meaningful candidate population reaches
 // the parallel step-5 scan; deeper screening would shrink the fan-out to a
 // handful of candidates and measure nothing but the serial prefix.
-MinerOptions OptionsWithThreads(int threads) {
+MinerOptions OptionsWithPool(Executor* pool) {
   MinerOptions options;
   options.screening_depth = 1;
-  options.num_threads = threads;
+  options.executor = pool;
   return options;
 }
 
 void RunScaling(benchmark::State& state, Scenario (*make)()) {
   Scenario scenario = make();
   const int threads = static_cast<int>(state.range(0));
-  Miner miner(scenario.system.get(), OptionsWithThreads(threads));
+  // Width 1 is the serial path (no pool), as a one-thread Engine runs it.
+  std::unique_ptr<Executor> pool =
+      threads > 1 ? std::make_unique<Executor>(threads) : nullptr;
+  Miner miner(scenario.system.get(), OptionsWithPool(pool.get()));
   // Warm the shared table/coverage caches so every width measures the same
   // post-warmup regime.
   benchmark::DoNotOptimize(
@@ -117,7 +123,7 @@ void BM_ParallelMining_Atm(benchmark::State& state) {
   RunScaling(state, MakeAtmScenario);
 }
 
-// range(0) = MinerOptions::num_threads.
+// range(0) = width of the borrowed pool.
 BENCHMARK(BM_ParallelMining_Stock)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)

@@ -1,8 +1,8 @@
 // E11 — streaming vs. batch re-scan: per-event ingest latency of the
 // OnlineMiner (resident TAG runs advanced once per arrival) against the
 // per-query cost of re-running the batch §5 pipeline over the full prefix,
-// plus snapshot latency, retention sweeps (resident-state footprint), and
-// the ingest thread sweep. Claim to check: at |σ| = 10⁴ an incremental
+// plus snapshot latency (across borrowed pool widths) and retention sweeps
+// (resident-state footprint). Claim to check: at |σ| = 10⁴ an incremental
 // update is ≥10× cheaper than answering the same question by re-scanning —
 // in practice it is orders of magnitude cheaper, because a snapshot reads
 // resident verdicts instead of re-running (candidate × root) TAG matches.
@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "granmine/common/executor.h"
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
 #include "granmine/stream/online_miner.h"
@@ -71,13 +72,19 @@ OnlineMiner MakeMiner(StreamScenario* scenario, OnlineMinerOptions options) {
   return std::move(*miner);
 }
 
+// The pool a width-`threads` row borrows: none (the serial path, as a
+// one-thread Engine runs it) for 1.
+std::unique_ptr<Executor> PoolOf(std::int64_t threads) {
+  return threads > 1 ? std::make_unique<Executor>(static_cast<int>(threads))
+                     : nullptr;
+}
+
 // Amortized per-event ingest cost (resident runs advanced, no snapshot).
-// Args: event count, retention (0 = unbounded), threads.
+// Ingest is sequential. Args: event count, retention (0 = unbounded).
 void BM_StreamIngest(benchmark::State& state) {
   StreamScenario* scenario = Scenario(static_cast<std::size_t>(state.range(0)));
   OnlineMinerOptions options;
   if (state.range(1) > 0) options.retention = state.range(1);
-  options.num_threads = static_cast<int>(state.range(2));
   std::size_t resident_roots = 0, resident_configs = 0;
   for (auto _ : state) {
     OnlineMiner miner = MakeMiner(scenario, options);
@@ -93,20 +100,20 @@ void BM_StreamIngest(benchmark::State& state) {
   state.counters["resident_configs"] = static_cast<double>(resident_configs);
 }
 BENCHMARK(BM_StreamIngest)
-    ->Args({1'000, 0, 1})
-    ->Args({10'000, 0, 1})
-    ->Args({10'000, 0, 4})
-    ->Args({10'000, 64, 1})
-    ->Args({10'000, 256, 1})
-    ->Args({10'000, 1024, 1})
+    ->Args({1'000, 0})
+    ->Args({10'000, 0})
+    ->Args({10'000, 64})
+    ->Args({10'000, 256})
+    ->Args({10'000, 1024})
     ->Unit(benchmark::kMillisecond);
 
 // On-demand snapshot over fully-ingested resident state — the streaming
-// answer to "does the pattern still hold?". Args: event count, threads.
+// answer to "does the pattern still hold?". Args: event count, pool width.
 void BM_StreamSnapshot(benchmark::State& state) {
   StreamScenario* scenario = Scenario(static_cast<std::size_t>(state.range(0)));
+  std::unique_ptr<Executor> pool = PoolOf(state.range(1));
   OnlineMinerOptions options;
-  options.num_threads = static_cast<int>(state.range(1));
+  options.executor = pool.get();
   OnlineMiner miner = MakeMiner(scenario, options);
   for (const Event& event : scenario->events) {
     if (!miner.Ingest(event).ok()) std::abort();
@@ -127,11 +134,12 @@ BENCHMARK(BM_StreamSnapshot)
 
 // The baseline the streaming subsystem replaces: one batch Mine over the
 // same prefix with the snapshot-equivalent options — what a per-event
-// re-scan would pay on every arrival. Args: event count, threads.
+// re-scan would pay on every arrival. Args: event count, pool width.
 void BM_BatchRescan(benchmark::State& state) {
   StreamScenario* scenario = Scenario(static_cast<std::size_t>(state.range(0)));
+  std::unique_ptr<Executor> pool = PoolOf(state.range(1));
   OnlineMinerOptions stream_options;
-  stream_options.num_threads = static_cast<int>(state.range(1));
+  stream_options.executor = pool.get();
   EventSequence sequence(scenario->events);
   Miner miner(&scenario->system, stream_options.BatchEquivalent());
   std::size_t solutions = 0;

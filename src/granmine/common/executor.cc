@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "granmine/common/check.h"
 #include "granmine/obs/obs.h"
 
 namespace granmine {
@@ -86,9 +85,25 @@ void Executor::ParallelFor(std::size_t count,
                            const std::function<void(std::size_t, int)>& body,
                            const std::atomic<bool>* cancel) {
   if (count == 0) return;
-  if (num_threads_ == 1) {
+  Job job;
+  job.count = count;
+  job.body = &body;
+  job.cancel = cancel;
+  bool run_inline = num_threads_ == 1;
+  if (!run_inline) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    run_inline = job_ != nullptr;  // another caller's loop holds the pool
+    if (!run_inline) {
+      job_ = &job;
+      ++job_epoch_;
+    }
+  }
+  if (run_inline) {
     // Inline path: exceptions propagate naturally; the cancel token is
     // observed between items, mirroring the pool's claim-time check.
+    if (num_threads_ > 1) {
+      GM_COUNTER_ADD("granmine_executor_inline_jobs_total", "", 1);
+    }
     for (std::size_t i = 0; i < count; ++i) {
       if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
       body(i, 0);
@@ -98,16 +113,6 @@ void Executor::ParallelFor(std::size_t count,
   GM_COUNTER_ADD("granmine_executor_jobs_total", "", 1);
   GM_GAUGE_SET("granmine_executor_queue_depth", "",
                static_cast<std::int64_t>(count));
-  Job job;
-  job.count = count;
-  job.body = &body;
-  job.cancel = cancel;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    GM_CHECK(job_ == nullptr) << "Executor::ParallelFor is not reentrant";
-    job_ = &job;
-    ++job_epoch_;
-  }
   job_ready_.notify_all();
   // The calling thread is worker 0.
   DrainJob(&job, 0);

@@ -24,8 +24,12 @@ namespace granmine {
 /// `ParallelMap` output order — and anything a caller merges in index order —
 /// is deterministic regardless of scheduling.
 ///
-/// One parallel loop runs at a time per executor; the entry points block
-/// until every item has finished or been abandoned.
+/// One parallel loop holds the pool at a time. The entry points accept
+/// concurrent callers: a caller that finds the pool busy runs its whole loop
+/// inline on its own thread as worker 0 (counted by
+/// `granmine_executor_inline_jobs_total`), exactly like a one-thread pool.
+/// Results are collected by index either way, so the output is unchanged.
+/// The entry points block until every item has finished or been abandoned.
 ///
 /// Failure guarantee: a body that throws does NOT take the process down.
 /// The first exception (first to be *caught*, not lowest index) is captured,
@@ -47,9 +51,7 @@ class Executor {
   explicit Executor(int num_threads);
   ~Executor();
 
-  /// The worker count `Executor(num_threads)` will actually run with —
-  /// exposed so callers can size per-worker scratch pools before (or
-  /// without) constructing the pool itself.
+  /// The worker count `Executor(num_threads)` will actually run with.
   static int Resolve(int num_threads) {
     return num_threads > 0
                ? num_threads

@@ -69,7 +69,7 @@ std::string_view FaultKindToString(FaultKind kind);
 /// this run; miner: global candidate index). The injector trips every check
 /// in its scope whose index is >= `trip_index` — a property of the *work*,
 /// not of thread arrival order, so an injected partial result is
-/// byte-identical across runs and across `num_threads` settings.
+/// byte-identical across runs and across executor widths.
 ///
 /// The `kind` selects which checkpoint family fails: ordinary governor
 /// checks (the default), GovernorAllocator memory charges, admission-queue

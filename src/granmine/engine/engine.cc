@@ -28,11 +28,10 @@ Engine::Engine(std::unique_ptr<GranularitySystem> system,
                EngineOptions options)
     : system_(std::move(system)),
       options_(options),
-      num_threads_(Executor::Resolve(options.num_threads)),
       metrics_(&obs::MetricsRegistry::Global()),
       trace_(&obs::TraceCollector::Global()) {
-  if (num_threads_ > 1) {
-    executor_ = std::make_unique<Executor>(num_threads_);
+  if (Executor::Resolve(options.num_threads) > 1) {
+    executor_ = std::make_unique<Executor>(options.num_threads);
   }
   if (options.admission.enabled) {
     admission_ = std::make_unique<AdmissionController>(options.admission);
@@ -150,7 +149,6 @@ Result<MineResponse> Engine::Mine(const MineRequest& request) {
   GM_TRACE_SPAN("engine_mine");
   GM_RETURN_NOT_OK(Freeze());
   MinerOptions options = request.options;
-  options.num_threads = num_threads_;
   options.executor = executor_.get();
   options.request_id = request_id;
   // Admission runs BEFORE the per-request governor is created, so time spent
@@ -287,7 +285,7 @@ Result<OnlineMinerOptions> Engine::AdmitStream(const StreamRequest& request,
   }
   GM_RETURN_NOT_OK(Freeze());
   OnlineMinerOptions options = request.options;
-  options.num_threads = request.num_threads_override.value_or(num_threads_);
+  options.executor = executor_.get();
   options.request_id = request_id;
   if (admission_ != nullptr) {
     // Probe admission: the stream-class slot gates session *opens* only (a
@@ -447,7 +445,7 @@ EngineStatusz Engine::Statusz() const {
   statusz.requests_total = next_request_id_.load(std::memory_order_relaxed);
   statusz.frozen = system_->frozen();
   statusz.granularities = system_->family().size();
-  statusz.num_threads = num_threads_;
+  statusz.num_threads = executor_ != nullptr ? executor_->num_threads() : 1;
   if (admission_ != nullptr) {
     const AdmissionOptions& admission_options = admission_->options();
     statusz.admission.enabled = true;

@@ -34,8 +34,8 @@ namespace granmine {
 /// these, so callers configure (threads, limits, observability) once instead
 /// of threading the same quadruple through every call chain.
 struct EngineOptions {
-  /// Worker threads shared by every Mine request and the default for stream
-  /// sessions. 1 = serial (bit-identical to the single-threaded paths);
+  /// Width of the one pool shared by every Mine request and stream-session
+  /// snapshot. 1 = serial (bit-identical to the single-threaded paths);
   /// <= 0 = hardware concurrency.
   int num_threads = 1;
   /// Default per-request governor limits; all-zero = ungoverned. A request
@@ -66,8 +66,8 @@ struct EngineOptions {
 struct MineRequest {
   const DiscoveryProblem* problem = nullptr;
   const EventSequence* sequence = nullptr;
-  /// Per-request mining knobs. `num_threads` and `executor` are resolved by
-  /// the engine (its shared pool) and need not be set.
+  /// Per-request mining knobs. `executor` is resolved by the engine (its
+  /// shared pool) and need not be set.
   MinerOptions options;
   /// Governor limits for this request; unset = the engine's default limits.
   std::optional<GovernorLimits> limits;
@@ -115,11 +115,9 @@ struct SnapshotSaveOptions {
 /// the returned OnlineMiner.
 struct StreamRequest {
   const DiscoveryProblem* problem = nullptr;
-  /// Per-session knobs. `num_threads` is resolved by the engine unless
-  /// `num_threads_override` is set.
+  /// Per-session knobs. `executor` is resolved by the engine (its shared
+  /// pool) and need not be set.
   OnlineMinerOptions options;
-  /// Session thread count; unset = the engine's default.
-  std::optional<int> num_threads_override;
 };
 
 /// The serving facade over one frozen granularity family: owns the
@@ -136,10 +134,11 @@ struct StreamRequest {
 /// freeze, table/coverage lookups are lock-free array reads, so one engine
 /// supports many concurrent sessions.
 ///
-/// Thread safety: `Mine` serializes internally on the shared pool (one
-/// parallel loop at a time per Executor); `Match` is safe from any thread
-/// once frozen; each `OpenStream` session is single-threaded externally,
-/// like `OnlineMiner` itself.
+/// Thread safety: `Mine` is safe from any thread. Concurrent requests share
+/// the one pool: a scan that finds it busy runs inline on its own thread
+/// (Executor). `Match` is safe from any thread once frozen; each
+/// `OpenStream` session is single-threaded externally, like `OnlineMiner`
+/// itself, and its snapshots borrow the same pool.
 class Engine {
  public:
   /// Takes ownership of `system` (must be non-null). Flips the obs runtime
@@ -177,8 +176,8 @@ class Engine {
   Result<MatchResponse> Match(const MatchRequest& request);
 
   /// Opens a streaming session resolved against engine defaults. Freezes on
-  /// first use. The session borrows the engine's system (not its pool: a
-  /// stream session owns per-session executor state).
+  /// first use. The session borrows the engine's system and, for snapshot
+  /// merges, its pool.
   Result<OnlineMiner> OpenStream(const StreamRequest& request);
 
   /// Writes a versioned binary snapshot (docs/persistence.md) of the frozen
@@ -219,10 +218,8 @@ class Engine {
   AdmissionController* admission() { return admission_.get(); }
   const AdmissionController* admission() const { return admission_.get(); }
 
-  /// Resolved engine-wide worker count (>= 1).
-  int num_threads() const { return num_threads_; }
-
-  /// The shared step-5 pool; null when the engine is serial.
+  /// The shared pool — the only one the library builds; null when the
+  /// engine is serial.
   Executor* executor() { return executor_.get(); }
 
   /// The process obs registries the engine switched on (always valid; when
@@ -306,7 +303,6 @@ class Engine {
   std::once_flag freeze_once_;
   Status freeze_status_ = Status::OK();
   EngineOptions options_;
-  int num_threads_ = 1;
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<AdmissionController> admission_;
   obs::MetricsRegistry* metrics_;

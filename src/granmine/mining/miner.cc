@@ -417,11 +417,9 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   TagMatcher matcher(&skeleton.tag);
 
   // Per-worker match scratches, sized for the pool the scan driver will run
-  // (worker 0 is the calling thread on the serial path). A borrowed pool
-  // dictates the worker count directly.
+  // (worker 0 is the calling thread on the serial path).
   std::vector<MatchScratch> scratches(static_cast<std::size_t>(
-      options_.executor != nullptr ? options_.executor->num_threads()
-                                   : Executor::Resolve(options_.num_threads)));
+      options_.executor != nullptr ? options_.executor->num_threads() : 1));
   std::vector<std::vector<std::uint64_t>> masks(
       scratches.size(), std::vector<std::uint64_t>(eligibility.words));
 
@@ -507,7 +505,6 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   };
 
   ScanDriverOptions scan_options;
-  scan_options.num_threads = options_.num_threads;
   scan_options.executor = options_.executor;
   scan_options.partial = partial;
   scan_options.governor = governor;

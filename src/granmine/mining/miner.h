@@ -65,17 +65,11 @@ struct MinerOptions {
   int max_induced_problems = 64;
   /// Matcher budget per anchored run.
   std::uint64_t max_configurations_per_run = 50'000'000;
-  /// Step-5 parallelism: worker threads fanning the (candidate × reference
-  /// occurrence) TAG scans across an Executor. 1 (the default) runs the
-  /// serial path, bit-identical to the single-threaded implementation;
-  /// values <= 0 use the hardware concurrency. Any value yields the same
-  /// MiningReport solutions in the same (lexicographic assignment) order —
-  /// results are merged back in candidate-index order.
-  int num_threads = 1;
-  /// Borrowed thread pool for the step-5 scan (the Engine threads its own
-  /// here so every Mine request reuses one pool). When set it supersedes
-  /// `num_threads`; when null the scan constructs a transient pool. The
-  /// report is identical either way.
+  /// Borrowed thread pool fanning the step-5 (candidate × reference
+  /// occurrence) TAG scans (the Engine threads its own here so every request
+  /// shares one pool). Null (the default) runs the serial path. Any pool
+  /// width yields the same MiningReport solutions in the same (lexicographic
+  /// assignment) order — results are merged back in candidate-index order.
   Executor* executor = nullptr;
   /// Request id (obs/context.h) stamped by the Engine at admission; workers
   /// re-install it as their RequestScope so spans and log lines emitted from
@@ -99,9 +93,9 @@ struct MinerOptions {
 /// on, a read-only eligibility table (one bitset over the surviving roots
 /// per variable and allowed type) limits each candidate's runs to the roots
 /// its types can match at, and a candidate stops as soon as it cannot clear
-/// the threshold; tag_runs counts only the runs made. With
-/// `MinerOptions::num_threads > 1` the step-5 scans fan out across a fixed
-/// thread pool: the skeleton TAG, the reduced sequence and the shared
+/// the threshold; tag_runs counts only the runs made. With a
+/// `MinerOptions::executor` the step-5 scans fan out across that borrowed
+/// pool: the skeleton TAG, the reduced sequence and the shared
 /// granularity caches are read-only by then, each worker keeps its own
 /// match scratch, and per-candidate results are merged deterministically.
 class Miner {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "granmine/common/executor.h"
 #include "granmine/common/governor_alloc.h"
@@ -146,19 +145,11 @@ ScanMergeResult ScanCandidates(
 
   std::vector<ScanOutcome> outcomes;
   std::uint64_t merge_chunk_size = scan_total;
-  const bool serial = options.executor == nullptr && options.num_threads == 1;
-  if (serial) {
+  Executor* executor = options.executor;
+  if (executor == nullptr) {
     outcomes.resize(1);
     scan_range(0, scan_total, 0, &outcomes[0]);
   } else {
-    // Borrow the caller's pool (Engine-owned, reused across requests) or
-    // spin up a transient one for this scan.
-    std::unique_ptr<Executor> owned;
-    Executor* executor = options.executor;
-    if (executor == nullptr) {
-      owned = std::make_unique<Executor>(options.num_threads);
-      executor = owned.get();
-    }
     // Chunks keep per-item dispatch cheap while staying numerous enough to
     // balance load; chunk size never affects the merged report.
     const std::uint64_t per_worker =

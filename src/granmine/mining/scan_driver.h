@@ -65,10 +65,10 @@ enum class CandidateFate { kDecided, kUnknown };
 /// Evaluates one candidate assignment φ. `index` is the global candidate
 /// position in [0, scan_total) — the streaming miner uses it to address
 /// resident per-candidate state. `worker` indexes per-worker scratch state
-/// (in [0, Executor::Resolve(num_threads))). The evaluator records its
-/// verdict in `out` (confirmed/refuted counts, solutions, tag_runs,
-/// configurations) and returns kDecided, or returns kUnknown with `*reason`
-/// set to what interrupted it. It must not touch `out->unknown`,
+/// (in [0, executor->num_threads()); 0 on the serial path). The evaluator
+/// records its verdict in `out` (confirmed/refuted counts, solutions,
+/// tag_runs, configurations) and returns kDecided, or returns kUnknown with
+/// `*reason` set to what interrupted it. It must not touch `out->unknown`,
 /// `out->not_evaluated`, `out->first_stop`, or `out->unknown_sample` — the
 /// driver owns those.
 using CandidateEvaluator = std::function<CandidateFate(
@@ -76,15 +76,9 @@ using CandidateEvaluator = std::function<CandidateFate(
     ScanOutcome* out, StopCause* reason)>;
 
 struct ScanDriverOptions {
-  /// 1 = serial path (bit-identical to the single-threaded implementation);
-  /// <= 0 = hardware concurrency.
-  int num_threads = 1;
-  /// Borrowed thread pool for the parallel path (e.g. the Engine's). When
-  /// null the driver constructs a transient Executor(num_threads) per scan;
-  /// when set, the pool's thread count wins over `num_threads` (size
-  /// per-worker scratch with `Executor::Resolve` on the same pool). The
-  /// merged report is identical either way — chunking depends only on the
-  /// worker count.
+  /// Borrowed thread pool (e.g. the Engine's); null = the serial path. Size
+  /// per-worker scratch by the pool's `num_threads()`. The merged report is
+  /// identical either way.
   Executor* executor = nullptr;
   /// ExhaustionPolicy::kPartial: interruptions degrade candidates to unknown
   /// instead of aborting the scan.

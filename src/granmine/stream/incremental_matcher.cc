@@ -37,21 +37,12 @@ void IncrementalMatcher::Finalize(RootRuns* root) {
 
 void IncrementalMatcher::AdvanceGroup(
     std::span<const Event> group, std::span<const NewRootSpawn> new_roots,
-    Executor* executor, std::vector<TagKernelScratch>* scratches) {
+    TagKernelScratch* scratch) {
   if (group.empty()) {
     GM_CHECK(new_roots.empty());
     return;
   }
-  GM_CHECK(scratches != nullptr && !scratches->empty());
   const TimePoint time = group.front().time;
-
-  // Retire roots whose deadline has passed before this group: the batch run
-  // breaks before feeding any group beyond the deadline.
-  for (std::size_t r = 0; r < roots_.size(); ++r) {
-    RootRuns& root = roots_[r];
-    if (root.pending > 0 && time > root.deadline) Finalize(&root);
-  }
-
   const std::size_t first_new = roots_.size();
   for (const NewRootSpawn& spawn : new_roots) {
     GM_CHECK(spawn.pos < group.size() && spawn.deadline >= time);
@@ -63,21 +54,21 @@ void IncrementalMatcher::AdvanceGroup(
     roots_.push_back(std::move(root));
   }
 
-  // One worker per root: slots are written by exactly one thread, so the
-  // advance is race-free and bitwise deterministic at every thread count.
-  auto advance_root = [&](std::size_t r, int worker) {
+  for (std::size_t r = 0; r < roots_.size(); ++r) {
     RootRuns& root = roots_[r];
-    if (root.pending == 0) return;
+    // Retire a root whose deadline has passed before this group: the batch
+    // run breaks before feeding any group beyond the deadline. (New roots
+    // have deadline >= time.)
+    if (root.pending > 0 && time > root.deadline) Finalize(&root);
+    if (root.pending == 0) continue;
     const std::span<const Event> fed =
         r >= first_new ? group.subspan(new_roots[r - first_new].pos) : group;
-    TagKernelScratch& scratch =
-        (*scratches)[static_cast<std::size_t>(worker)];
     for (std::size_t c = 0; c < candidate_count_; ++c) {
       if ((*active_)[c] == 0) continue;
       ResidentRun& slot = root.slots[c];
       if (slot.verdict != RunVerdict::kPending) continue;
       switch (kernel_.AdvanceGroup(fed, (*symbols_)[c], /*anchored=*/true,
-                                   &slot.run, &scratch, &slot.stats,
+                                   &slot.run, scratch, &slot.stats,
                                    max_configurations_, /*ticket=*/nullptr)) {
         case TagKernel::GroupOutcome::kAccepted:
           slot.verdict = RunVerdict::kAccepted;
@@ -98,12 +89,6 @@ void IncrementalMatcher::AdvanceGroup(
           break;
       }
     }
-  };
-
-  if (executor != nullptr && executor->num_threads() > 1) {
-    executor->ParallelFor(roots_.size(), advance_root);
-  } else {
-    for (std::size_t r = 0; r < roots_.size(); ++r) advance_root(r, 0);
   }
 }
 

@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "granmine/common/executor.h"
 #include "granmine/common/ring_buffer.h"
 #include "granmine/sequence/event.h"
 #include "granmine/tag/step_kernel.h"
@@ -44,8 +43,7 @@ struct RootRuns {
   /// GC lever of the streaming subsystem).
   TimePoint deadline = 0;
   std::vector<ResidentRun> slots;  ///< indexed by candidate
-  /// Active candidates still pending (skip-whole-root optimization;
-  /// maintained only on the serial paths and by the owning worker).
+  /// Active candidates still pending (skip-whole-root optimization).
   std::size_t pending = 0;
 };
 
@@ -62,9 +60,9 @@ struct RootRuns {
 /// soon as the first group beyond their deadline commits; the batch run
 /// would simply never feed those groups, so outcomes and stats agree.
 ///
-/// Work fans out across roots on the executor: each root is advanced by one
-/// worker, so slot updates are race-free and results are bitwise identical
-/// at every thread count. Not thread-safe externally.
+/// Roots advance one after another on the calling thread: the per-event
+/// work is one group fold per live run, too small to pay for a fan-out.
+/// Not thread-safe externally.
 class IncrementalMatcher {
  public:
   /// A reference occurrence to spawn during AdvanceGroup: `pos` indexes the
@@ -87,12 +85,10 @@ class IncrementalMatcher {
 
   /// Advances every live run over one committed group (non-empty, one
   /// timestamp, canonical order, already reduced), spawning `new_roots`
-  /// first. `executor` may be null (inline serial); `scratches` must have
-  /// one entry per executor worker (at least one).
+  /// first. `scratch` is the kernel scratch every advance reuses.
   void AdvanceGroup(std::span<const Event> group,
                     std::span<const NewRootSpawn> new_roots,
-                    Executor* executor,
-                    std::vector<TagKernelScratch>* scratches);
+                    TagKernelScratch* scratch);
 
   /// Drops every root with t0 strictly below `horizon` (retention eviction;
   /// roots leave in commit order from the front).

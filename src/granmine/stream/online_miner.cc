@@ -44,13 +44,8 @@ OnlineMiner::OnlineMiner(GranularitySystem* system, DiscoveryProblem problem,
       scan_total_(std::min(candidates_before_, options_.max_candidates)),
       clamped_(candidates_before_ > options_.max_candidates),
       ingestor_(IngestorOptions{options_.tolerance, options_.retention,
-                                options_.max_buffered_events}),
-      scratches_(static_cast<std::size_t>(
-          Executor::Resolve(options_.num_threads))) {
+                                options_.max_buffered_events}) {
   if (consistent_) reducer_.emplace(propagation_.get(), allowed_);
-  if (Executor::Resolve(options_.num_threads) > 1) {
-    executor_ = std::make_unique<Executor>(options_.num_threads);
-  }
 }
 
 Result<OnlineMiner> OnlineMiner::Create(GranularitySystem* system,
@@ -208,7 +203,7 @@ void OnlineMiner::CommitGroup(Core* core, std::span<const Event> raw_group) {
                    spawn_scratch_.size());
   }
   core->matcher->AdvanceGroup(reduced_scratch_, spawn_scratch_,
-                              executor_.get(), &scratches_);
+                              &kernel_scratch_);
 }
 
 void OnlineMiner::EvictCore(Core* core, TimePoint horizon) {
@@ -307,7 +302,7 @@ Result<MiningReport> OnlineMiner::Snapshot(const ResourceGovernor* governor) {
   };
 
   ScanDriverOptions scan_options;
-  scan_options.num_threads = options_.num_threads;
+  scan_options.executor = options_.executor;
   scan_options.partial = true;
   scan_options.governor = governor;
   scan_options.request_id = options_.request_id;

@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "granmine/common/executor.h"
 #include "granmine/common/math.h"
 #include "granmine/common/result.h"
 #include "granmine/common/ring_buffer.h"
@@ -33,10 +32,10 @@ struct OnlineMinerOptions {
   /// behind the watermark are evicted with their counts retracted, so a
   /// snapshot covers exactly the retained suffix. kInfinity = keep all.
   std::int64_t retention = kInfinity;
-  /// Step-5 parallelism for both the per-group advance (fanned across
-  /// roots) and snapshot candidate merges. Same semantics as
-  /// MinerOptions::num_threads.
-  int num_threads = 1;
+  /// Borrowed pool for snapshot candidate merges (the Engine sets its own);
+  /// null = serial. Ingest never uses it. Same semantics as
+  /// MinerOptions::executor.
+  Executor* executor = nullptr;
   /// Candidate-space cap. Unlike the batch miner, the streaming miner keeps
   /// one resident run per (root, candidate), so memory is
   /// O(max_candidates × resident roots) — hence the much lower default.
@@ -68,7 +67,7 @@ struct OnlineMinerOptions {
     batch.on_exhaustion = MinerOptions::ExhaustionPolicy::kPartial;
     batch.max_candidates = max_candidates;
     batch.max_configurations_per_run = max_configurations_per_run;
-    batch.num_threads = num_threads;
+    batch.executor = executor;
     batch.request_id = request_id;
     return batch;
   }
@@ -97,7 +96,7 @@ struct OnlineMinerOptions {
 ///    refuted_by_propagation, with only the event counters live).
 ///
 /// `problem.structure` and `system` must outlive the miner. Not thread-safe
-/// externally; internally the group advance fans out across an executor.
+/// externally; only snapshot merges use the borrowed executor.
 class OnlineMiner {
  public:
   static Result<OnlineMiner> Create(GranularitySystem* system,
@@ -208,12 +207,8 @@ class OnlineMiner {
   StreamIngestor ingestor_;
   Core core_;
 
-  /// Group-advance fan-out pool (null when effectively serial) and the
-  /// per-worker kernel scratches (at least one).
-  std::unique_ptr<Executor> executor_;
-  std::vector<TagKernelScratch> scratches_;
-
   // Commit scratch (contents ephemeral; kept to avoid reallocation).
+  TagKernelScratch kernel_scratch_;
   std::vector<Event> reduced_scratch_;
   std::vector<IncrementalMatcher::NewRootSpawn> spawn_scratch_;
 };

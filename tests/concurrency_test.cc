@@ -1,8 +1,9 @@
 // Concurrency gate for the shared caching substrate and the parallel miner:
 // hammers GranularityTables and SupportCoverageCache from many threads
 // against serial oracles, exercises the Executor itself, and asserts the
-// Miner's determinism guarantee (num_threads ∈ {1, 2, 8} produce identical
-// reports). Run under GRANMINE_SANITIZE=thread to certify data-race freedom.
+// Miner's determinism guarantee (no pool and pools of 2 and 8 threads
+// produce identical reports). Run under GRANMINE_SANITIZE=thread to certify
+// data-race freedom.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +157,36 @@ TEST(ExecutorTest, BackToBackLoopsReuseThePool) {
     std::size_t n = static_cast<std::size_t>(round) + 1;
     EXPECT_EQ(sum.load(), n * (n + 1) / 2);
   }
+}
+
+// Requests share one pool: a loop that finds it busy runs inline on its
+// caller as worker 0. Both loops still run every index exactly once.
+TEST(ExecutorTest, ConcurrentCallersEachRunEveryIndexExactlyOnce) {
+  Executor executor(4);
+  constexpr std::size_t kCount = 20'000;
+  std::atomic<int> bad_worker{0};
+  std::atomic<int> bad_loops{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> hits(kCount);
+        executor.ParallelFor(kCount, [&](std::size_t i, int worker) {
+          if (worker < 0 || worker >= 4) bad_worker.fetch_add(1);
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (const std::atomic<int>& hit : hits) {
+          if (hit.load() != 1) {
+            bad_loops.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(bad_worker.load(), 0);
+  EXPECT_EQ(bad_loops.load(), 0);
 }
 
 // The table queries issued by every thread, over mixed Gregorian types —
@@ -387,16 +418,15 @@ TEST(ParallelMinerTest, ThreadCountNeverChangesTheReport) {
   problem.allowed.assign(4, {});
   problem.allowed[3] = {*workload.registry.Find("IBM-fall")};
 
-  MinerOptions serial_options;
-  serial_options.num_threads = 1;
-  Miner serial(system.get(), serial_options);
+  Miner serial(system.get());
   Result<MiningReport> want = serial.Mine(problem, workload.sequence);
   ASSERT_TRUE(want.ok()) << want.status();
   ASSERT_FALSE(want->solutions.empty());
 
   for (int threads : {2, 8}) {
+    Executor executor(threads);
     MinerOptions options;
-    options.num_threads = threads;
+    options.executor = &executor;
     Miner miner(system.get(), options);
     Result<MiningReport> got = miner.Mine(problem, workload.sequence);
     ASSERT_TRUE(got.ok()) << got.status();
@@ -439,15 +469,14 @@ TEST(ParallelMinerTest, NaivePipelineIsDeterministicToo) {
   problem.allowed.assign(4, {});
   problem.allowed[3] = {*workload.registry.Find("IBM-fall")};
 
-  MinerOptions serial_options = MinerOptions::Naive();
-  serial_options.num_threads = 1;
-  Miner serial(system.get(), serial_options);
+  Miner serial(system.get(), MinerOptions::Naive());
   Result<MiningReport> want = serial.Mine(problem, workload.sequence);
   ASSERT_TRUE(want.ok()) << want.status();
 
   for (int threads : {2, 8}) {
+    Executor executor(threads);
     MinerOptions options = MinerOptions::Naive();
-    options.num_threads = threads;
+    options.executor = &executor;
     Miner miner(system.get(), options);
     Result<MiningReport> got = miner.Mine(problem, workload.sequence);
     ASSERT_TRUE(got.ok()) << got.status();

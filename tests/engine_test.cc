@@ -324,6 +324,59 @@ TEST(EngineTest, ParallelMineOnEnginePoolMatchesSerial) {
   EXPECT_EQ(again->report.solutions.size(), a->report.solutions.size());
 }
 
+// Two requests share the engine's pool with admission off, so both scans
+// reach Executor::ParallelFor at once. The one that finds the pool busy runs
+// inline; every answer equals the one-at-a-time answer.
+TEST(EngineTest, ConcurrentMinesShareTheEnginePool) {
+  EngineOptions options;
+  options.num_threads = 2;
+  auto engine = Engine::CreateGregorian(options);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_EQ((*engine)->admission(), nullptr);
+  Workload workload = MakeWorkload(*(*engine)->system(), 808);
+  auto structure = BuildFigure1a(*(*engine)->system());
+  ASSERT_TRUE(structure.ok());
+  DiscoveryProblem problem;
+  problem.structure = &*structure;
+  problem.min_confidence = 0.3;
+  problem.reference_type = *workload.registry.Find("IBM-rise");
+  MineRequest request;
+  request.problem = &problem;
+  request.sequence = &workload.sequence;
+
+  auto want = (*engine)->Mine(request);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_GT(want->report.tag_runs, 0u);
+
+  std::atomic<int> ready{0};
+  std::atomic<int> mismatches{0};
+  auto hammer = [&] {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int round = 0; round < 8; ++round) {
+      auto got = (*engine)->Mine(request);
+      if (!got.ok() || got->report.tag_runs != want->report.tag_runs ||
+          got->report.solutions.size() != want->report.solutions.size()) {
+        mismatches.fetch_add(1);
+        continue;
+      }
+      for (std::size_t i = 0; i < want->report.solutions.size(); ++i) {
+        if (got->report.solutions[i].assignment !=
+                want->report.solutions[i].assignment ||
+            got->report.solutions[i].matched_roots !=
+                want->report.solutions[i].matched_roots) {
+          mismatches.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::thread other(hammer);
+  hammer();
+  other.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(EngineTest, WriteMetricsAndTraceProduceFiles) {
   EngineOptions options;
   options.enable_metrics = true;

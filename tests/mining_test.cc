@@ -11,6 +11,7 @@
 #include "granmine/mining/windows.h"
 #include "granmine/paper/figures.h"
 #include "granmine/sequence/generators.h"
+#include "granmine/common/executor.h"
 
 namespace granmine {
 namespace {
@@ -165,8 +166,9 @@ TEST_F(StockMiningTest, MineScanShapeSkipsRunsThatCannotMatch) {
         << "seed=" << seed;
     EXPECT_LT(report->tag_runs, naive_report->tag_runs);
 
+    Executor pool(4);
     MinerOptions four;
-    four.num_threads = 4;
+    four.executor = &pool;
     Miner parallel(system_.get(), four);
     auto parallel_report = parallel.Mine(problem, workload.sequence);
     ASSERT_TRUE(parallel_report.ok()) << parallel_report.status();

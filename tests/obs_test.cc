@@ -22,6 +22,7 @@
 #include "granmine/obs/trace.h"
 #include "granmine/stream/online_miner.h"
 #include "granmine/granularity/system.h"
+#include "test_pool.h"
 
 namespace granmine {
 namespace {
@@ -328,17 +329,18 @@ std::string FilteredMetrics(int threads, bool batch) {
   registry.Reset();
   registry.set_enabled(true);
 
+  std::unique_ptr<Executor> pool = PoolOf(threads);
   if (batch) {
     problem.min_confidence = 0.5;  // high enough to refute some candidates
     EventSequence sequence;
     for (const Event& event : events) sequence.Add(event.type, event.time);
     MinerOptions options;
-    options.num_threads = threads;
+    options.executor = pool.get();
     Result<MiningReport> report = Miner(&toy, options).Mine(problem, sequence);
     EXPECT_TRUE(report.ok()) << report.status();
   } else {
     OnlineMinerOptions options;
-    options.num_threads = threads;
+    options.executor = pool.get();
     Result<OnlineMiner> miner = OnlineMiner::Create(&toy, problem, options);
     EXPECT_TRUE(miner.ok()) << miner.status();
     for (const Event& event : events) {

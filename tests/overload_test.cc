@@ -29,6 +29,7 @@
 #include "granmine/stream/online_miner.h"
 #include "granmine/tag/builder.h"
 #include "granmine/tag/matcher.h"
+#include "test_pool.h"
 
 namespace granmine {
 namespace {
@@ -298,8 +299,9 @@ class OverloadMinerTest : public testing::Test {
 
   MiningReport MineWithFault(int threads, FaultKind kind, GovernorScope scope,
                              std::uint64_t trip, bool cancel_globally) {
+    std::unique_ptr<Executor> pool = PoolOf(threads);
     MinerOptions options;
-    options.num_threads = threads;
+    options.executor = pool.get();
     options.on_exhaustion = MinerOptions::ExhaustionPolicy::kPartial;
     Miner miner(&toy_, options);
     GovernorLimits limits;
@@ -413,8 +415,9 @@ TEST_F(OverloadMinerTest, MemBudgetPartialMiningAccountsEveryCandidate) {
   // and never wrong; a roomy budget is byte-identical to the ungoverned run.
   for (std::uint64_t budget : {1ull, 64ull, 512ull, 4096ull, 1ull << 22}) {
     for (int threads : {1, 4}) {
+      std::unique_ptr<Executor> pool = PoolOf(threads);
       MinerOptions options;
-      options.num_threads = threads;
+      options.executor = pool.get();
       options.on_exhaustion = MinerOptions::ExhaustionPolicy::kPartial;
       Miner miner(&toy_, options);
       GovernorLimits limits;
@@ -444,8 +447,9 @@ TEST_F(OverloadMinerTest, DegradedMineIsScreeningOnlyAndDeterministic) {
   ASSERT_TRUE(full.ok());
 
   auto degraded_run = [&](int threads) {
+    std::unique_ptr<Executor> pool = PoolOf(threads);
     MinerOptions options;
-    options.num_threads = threads;
+    options.executor = pool.get();
     options.degrade_to_screening = true;
     Miner miner(&toy_, options);
     auto report = miner.Mine(problem_, seq_);
@@ -792,8 +796,9 @@ TEST(StreamShedTest, BoundedOnlineMinerMatchesBatchOverAdmittedArrivals) {
   options.tolerance = 6;
   options.max_buffered_events = 3;
   auto run = [&](int threads) {
+    std::unique_ptr<Executor> pool = PoolOf(threads);
     OnlineMinerOptions run_options = options;
-    run_options.num_threads = threads;
+    run_options.executor = pool.get();
     auto miner = OnlineMiner::Create(&toy, problem, run_options);
     EXPECT_TRUE(miner.ok()) << miner.status();
     EventSequence admitted;

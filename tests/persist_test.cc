@@ -28,6 +28,7 @@
 #include "granmine/persist/snapshot.h"
 #include "granmine/persist/stream_codec.h"
 #include "granmine/stream/online_miner.h"
+#include "test_pool.h"
 
 namespace granmine {
 namespace {
@@ -455,16 +456,16 @@ class CheckpointTest : public testing::Test {
     problem_.allowed[2] = {0, 1, 2, 3, 4, 5};
   }
 
-  OnlineMinerOptions Options(int threads) const {
+  OnlineMinerOptions Options(Executor* executor = nullptr) const {
     OnlineMinerOptions options;
-    options.num_threads = threads;
+    options.executor = executor;
     options.retention = 24;  // evictions happen during the run
     return options;
   }
 
-  OnlineMiner MakeStream(int threads) {
+  OnlineMiner MakeStream(Executor* executor = nullptr) {
     Result<OnlineMiner> miner =
-        OnlineMiner::Create(&toy_, problem_, Options(threads));
+        OnlineMiner::Create(&toy_, problem_, Options(executor));
     EXPECT_TRUE(miner.ok()) << miner.status();
     return std::move(*miner);
   }
@@ -483,8 +484,9 @@ class CheckpointTest : public testing::Test {
 // run. At 1 and 4 threads.
 TEST_F(CheckpointTest, KillAtEveryCheckpointThenRestoreIsByteIdentical) {
   for (int threads : {1, 4}) {
+    std::unique_ptr<Executor> pool = PoolOf(threads);
     // Uninterrupted reference run.
-    OnlineMiner uninterrupted = MakeStream(threads);
+    OnlineMiner uninterrupted = MakeStream(pool.get());
     for (const Event& event : events_) {
       ASSERT_TRUE(uninterrupted.Ingest(event).ok());
     }
@@ -498,7 +500,7 @@ TEST_F(CheckpointTest, KillAtEveryCheckpointThenRestoreIsByteIdentical) {
     for (std::size_t p = 0; p <= events_.size(); ++p) {
       std::remove(path.c_str());
       {
-        OnlineMiner first = MakeStream(threads);
+        OnlineMiner first = MakeStream(pool.get());
         for (std::size_t i = 0; i < p; ++i) {
           ASSERT_TRUE(first.Ingest(events_[i]).ok());
         }
@@ -507,7 +509,7 @@ TEST_F(CheckpointTest, KillAtEveryCheckpointThenRestoreIsByteIdentical) {
         // a crash.
       }
       Result<OnlineMiner> restored = persist::RestoreStreamCheckpoint(
-          &toy_, problem_, Options(threads), path);
+          &toy_, problem_, Options(pool.get()), path);
       ASSERT_TRUE(restored.ok())
           << "threads=" << threads << " p=" << p << ": " << restored.status();
       for (std::size_t i = p; i < events_.size(); ++i) {
@@ -532,16 +534,16 @@ TEST_F(CheckpointTest, RestoredSessionMatchesAtEverySubsequentPrefix) {
   const std::string path = TempPath("prefix_differential.bin");
   std::remove(path.c_str());
   {
-    OnlineMiner first = MakeStream(1);
+    OnlineMiner first = MakeStream();
     for (std::size_t i = 0; i < kCheckpointAt; ++i) {
       ASSERT_TRUE(first.Ingest(events_[i]).ok());
     }
     ASSERT_TRUE(persist::SaveStreamCheckpoint(first, path).ok());
   }
   Result<OnlineMiner> restored =
-      persist::RestoreStreamCheckpoint(&toy_, problem_, Options(1), path);
+      persist::RestoreStreamCheckpoint(&toy_, problem_, Options(), path);
   ASSERT_TRUE(restored.ok()) << restored.status();
-  OnlineMiner fresh = MakeStream(1);
+  OnlineMiner fresh = MakeStream();
   for (std::size_t i = 0; i < kCheckpointAt; ++i) {
     ASSERT_TRUE(fresh.Ingest(events_[i]).ok());
   }
@@ -563,7 +565,8 @@ TEST_F(CheckpointTest, RestoredSessionMatchesAtEverySubsequentPrefix) {
 TEST_F(CheckpointTest, CheckpointBytesAreThreadCountInvariant) {
   std::vector<std::uint8_t> serial_bytes;
   for (int threads : {1, 4}) {
-    OnlineMiner miner = MakeStream(threads);
+    std::unique_ptr<Executor> pool = PoolOf(threads);
+    OnlineMiner miner = MakeStream(pool.get());
     for (const Event& event : events_) {
       ASSERT_TRUE(miner.Ingest(event).ok());
     }
@@ -586,7 +589,7 @@ TEST_F(CheckpointTest, CheckpointBytesAreThreadCountInvariant) {
 // other test temporaries.
 TEST_F(CheckpointTest, CommittedFixtureRestoresAndReencodesByteIdentically) {
   constexpr std::size_t kFixtureArrivals = 30;
-  OnlineMinerOptions options = Options(1);
+  OnlineMinerOptions options = Options();
   options.tolerance = 3;
   const std::string fixture =
       std::string(GRANMINE_TEST_GOLDEN_DIR) + "/stream_checkpoint.bin";
@@ -633,14 +636,14 @@ TEST_F(CheckpointTest, RestoreRefusesMismatchedSessionGeometry) {
   const std::string path = TempPath("geometry.bin");
   std::remove(path.c_str());
   {
-    OnlineMiner miner = MakeStream(1);
+    OnlineMiner miner = MakeStream();
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(miner.Ingest(events_[static_cast<std::size_t>(i)]).ok());
     }
     ASSERT_TRUE(persist::SaveStreamCheckpoint(miner, path).ok());
   }
   // Same problem, different tolerance: the fingerprint must refuse.
-  OnlineMinerOptions skewed = Options(1);
+  OnlineMinerOptions skewed = Options();
   skewed.tolerance = 5;
   Result<OnlineMiner> mismatch =
       persist::RestoreStreamCheckpoint(&toy_, problem_, skewed, path);
@@ -660,7 +663,7 @@ TEST_F(CheckpointTest, RestoreRefusesMismatchedSessionGeometry) {
     ASSERT_TRUE((*sink)->Commit().ok());
   }
   Result<OnlineMiner> missing =
-      persist::RestoreStreamCheckpoint(&toy_, problem_, Options(1), plain);
+      persist::RestoreStreamCheckpoint(&toy_, problem_, Options(), plain);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());

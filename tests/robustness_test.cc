@@ -21,6 +21,7 @@
 #include "granmine/mining/miner.h"
 #include "granmine/tag/builder.h"
 #include "granmine/tag/matcher.h"
+#include "test_pool.h"
 
 namespace granmine {
 namespace {
@@ -423,8 +424,9 @@ class MinerGovernorTest : public testing::Test {
 
   MiningReport MineInjected(int threads, GovernorScope scope,
                             std::uint64_t trip, bool cancel_globally) {
+    std::unique_ptr<Executor> pool = PoolOf(threads);
     MinerOptions options;
-    options.num_threads = threads;
+    options.executor = pool.get();
     options.on_exhaustion = MinerOptions::ExhaustionPolicy::kPartial;
     Miner miner(&toy_, options);
     GovernorLimits limits;
@@ -586,9 +588,10 @@ TEST_F(MinerGovernorTest, AbortPolicySurfacesTheCauseAsAnError) {
 }
 
 TEST_F(MinerGovernorTest, CancellationBeforePartialMiningLosesNothingSilently) {
+  Executor pool(4);
   MinerOptions options;
   options.on_exhaustion = MinerOptions::ExhaustionPolicy::kPartial;
-  options.num_threads = 4;
+  options.executor = &pool;
   Miner miner(&toy_, options);
   GovernorLimits limits;
   limits.check_stride = 1;

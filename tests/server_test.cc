@@ -18,8 +18,9 @@
 //    reads instead of growing the heap, an outbox past max_outbox_bytes
 //    drops the peer, and racing Start() calls admit exactly one winner;
 //  - concurrency: four clients soak the same server and every response
-//    stays byte-identical to the single-client expectation (run under the
-//    `sanitizer` label for the TSAN/ASAN gate).
+//    stays byte-identical to the single-client expectation, also on an
+//    engine whose 2-thread pool the mines and a stream session share (run
+//    under the `sanitizer` label for the TSAN/ASAN gate).
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -86,6 +87,18 @@ constexpr char kInconsistent[] =
     "a -> b : [1,1] week\n"
     "b -> c : [1,1] week\n"
     "a -> c : [0,1] day\n";
+
+// The windowed stream session of the demo corpus, every non-root variable
+// pinned (the CLI twin is the `stream` invocation `granmine_cli demo` prints).
+server::StreamOpenCall DemoStreamOpen() {
+  server::StreamOpenCall open;
+  open.structure_text = kStructure;
+  open.reference = "IBM-rise";
+  open.window = "1209600";
+  open.slide = "604800";
+  open.pins = {"report=IBM-earnings-report", "hp=HP-rise", "fall=IBM-fall"};
+  return open;
+}
 
 std::string TempPath(const char* name) {
   return testing::TempDir() + "granmine_server_" + name;
@@ -384,13 +397,7 @@ TEST_F(ServerDifferentialTest, StreamFramesMatchTheCliLoop) {
   auto client = Connect();
   ASSERT_NE(client, nullptr);
 
-  server::StreamOpenCall open;
-  open.structure_text = kStructure;
-  open.reference = "IBM-rise";
-  open.window = "1209600";
-  open.slide = "604800";
-  open.pins = {"report=IBM-earnings-report", "hp=HP-rise", "fall=IBM-fall"};
-  auto opened = client->StreamOpen(open);
+  auto opened = client->StreamOpen(DemoStreamOpen());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ASSERT_EQ(opened->exit_code, 0) << opened->err;
 
@@ -731,6 +738,84 @@ TEST_F(ServerDifferentialTest, FourClientsSoakWithIdenticalResponses) {
   EXPECT_GE(srv_->connections_accepted(), 5u);
   EXPECT_GE(srv_->frames_dispatched(),
             static_cast<std::uint64_t>(kThreads * kIterations * 3));
+  EXPECT_EQ(srv_->frame_errors(), 0u);
+}
+
+// One stream session over the demo events, one line per ingest frame: every
+// reply's stdout concatenated, or "" when any frame fails.
+std::string StreamTranscript(Client* client) {
+  auto opened = client->StreamOpen(DemoStreamOpen());
+  if (!opened.ok() || opened->exit_code != 0) return "";
+  std::string transcript = opened->out;
+  std::istringstream events(kEvents);
+  std::string line;
+  while (std::getline(events, line)) {
+    auto ack = client->StreamIngest(line + "\n");
+    if (!ack.ok() || ack->exit_code != 0) return "";
+    transcript += ack->out;
+  }
+  auto sealed = client->StreamSeal();
+  if (!sealed.ok() || sealed->exit_code != 0) return "";
+  return transcript + sealed->out;
+}
+
+// The soak on an engine with a 2-thread pool and no admission: both
+// dispatch workers reach the one shared Executor at once, and one client's
+// stream snapshots borrow it too. Every reply equals the single-threaded
+// reference.
+TEST_F(ServerDifferentialTest, FourClientsSoakOnOneSharedPool) {
+  auto reference_client = Connect();
+  ASSERT_NE(reference_client, nullptr);
+  const auto mine_call = DemoMine();
+  server::CheckCall check_call;
+  check_call.structure_text = kStructure;
+  const Response expected_mine = *reference_client->Mine(mine_call);
+  const Response expected_check = *reference_client->Check(check_call);
+  const std::string expected_stream =
+      StreamTranscript(reference_client.get());
+  ASSERT_FALSE(expected_mine.out.empty());
+  ASSERT_FALSE(expected_stream.empty());
+  reference_client.reset();
+  srv_->Stop();
+  srv_.reset();
+  engine_.reset();
+
+  EngineOptions pooled;
+  pooled.num_threads = 2;
+  StartServer(pooled);
+  ASSERT_NE(engine_->executor(), nullptr);
+  ASSERT_EQ(engine_->admission(), nullptr);
+
+  constexpr int kThreads = 4;
+  constexpr int kIterations = 8;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto client = Client::Connect("127.0.0.1", srv_->port());
+      if (!client.ok()) {
+        mismatches.fetch_add(100);
+        return;
+      }
+      for (int i = 0; i < kIterations; ++i) {
+        auto mine = (*client)->Mine(mine_call);
+        auto check = (*client)->Check(check_call);
+        if (!mine.ok() || mine->out != expected_mine.out ||
+            mine->exit_code != expected_mine.exit_code) {
+          mismatches.fetch_add(1);
+        }
+        if (!check.ok() || check->out != expected_check.out) {
+          mismatches.fetch_add(1);
+        }
+        if (t == 0 && StreamTranscript(client->get()) != expected_stream) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(srv_->frame_errors(), 0u);
 }
 

@@ -17,6 +17,7 @@
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
 #include "granmine/stream/online_miner.h"
+#include "test_pool.h"
 
 namespace granmine {
 namespace {
@@ -127,9 +128,10 @@ class StreamPropertyTest : public testing::Test {
 
   std::string SnapshotOf(std::span<const Event> arrivals,
                          std::int64_t tolerance, int threads = 1) {
+    std::unique_ptr<Executor> pool = PoolOf(threads);
     OnlineMinerOptions options;
     options.tolerance = tolerance;
-    options.num_threads = threads;
+    options.executor = pool.get();
     Result<OnlineMiner> miner = OnlineMiner::Create(&toy_, problem_, options);
     EXPECT_TRUE(miner.ok()) << miner.status();
     for (const Event& event : arrivals) {

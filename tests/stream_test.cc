@@ -18,6 +18,7 @@
 #include "granmine/common/governor.h"
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
+#include "test_pool.h"
 
 namespace granmine {
 namespace {
@@ -108,8 +109,9 @@ class StreamTest : public testing::Test {
 
   MiningReport BatchMine(std::span<const Event> prefix, int threads,
                          const ResourceGovernor* governor = nullptr) {
+    std::unique_ptr<Executor> pool = PoolOf(threads);
     OnlineMinerOptions options;
-    options.num_threads = threads;
+    options.executor = pool.get();
     Miner miner(&toy_, options.BatchEquivalent());
     Result<MiningReport> report =
         miner.Mine(problem_, Canonical(prefix), governor);
@@ -125,8 +127,9 @@ class StreamTest : public testing::Test {
 
   MiningReport StreamMine(std::span<const Event> prefix, int threads,
                           const ResourceGovernor* governor = nullptr) {
+    std::unique_ptr<Executor> pool = PoolOf(threads);
     OnlineMinerOptions options;
-    options.num_threads = threads;
+    options.executor = pool.get();
     OnlineMiner miner = MakeStream(options);
     for (const Event& event : prefix) {
       EXPECT_TRUE(miner.Ingest(event).ok());
@@ -168,8 +171,9 @@ TEST_F(StreamTest, SnapshotIsByteIdenticalAcrossThreadCounts) {
 // One snapshot per ingested prefix from a single long-lived miner — the
 // running-snapshot use case — must equal the fresh-miner result.
 TEST_F(StreamTest, RunningSnapshotsNeverPerturbTheStream) {
+  Executor pool(2);
   OnlineMinerOptions options;
-  options.num_threads = 2;
+  options.executor = &pool;
   OnlineMiner miner = MakeStream(options);
   for (std::size_t p = 0; p < events_.size(); ++p) {
     ASSERT_TRUE(miner.Ingest(events_[p]).ok());
@@ -236,9 +240,10 @@ TEST_F(StreamTest, OutOfOrderArrivalWithinToleranceMatchesBatch) {
   }
   ASSERT_GT(tolerance, 0);  // the shuffle must be genuinely out of order
 
+  Executor pool(2);
   OnlineMinerOptions options;
   options.tolerance = tolerance;
-  options.num_threads = 2;
+  options.executor = &pool;
   OnlineMiner miner = MakeStream(options);
   for (const Event& event : shuffled) {
     ASSERT_TRUE(miner.Ingest(event).ok());
