@@ -77,9 +77,8 @@ class SpanSource : public ByteSource {
   Status Read(std::span<std::uint8_t> out, std::size_t* read) override {
     const std::size_t n =
         std::min(out.size(), data_.size() - static_cast<std::size_t>(offset_));
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = data_[static_cast<std::size_t>(offset_) + i];
-    }
+    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset_), n,
+                out.begin());
     offset_ += n;
     *read = n;
     return Status::OK();

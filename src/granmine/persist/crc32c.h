@@ -8,11 +8,13 @@
 namespace granmine::persist {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
-/// checksum the snapshot format frames every section with. Software
-/// slice-by-one implementation: section payloads are small relative to the
-/// scans they cache, so portability beats SSE4.2 here. Detects all
-/// single-bit and all burst errors up to 32 bits, which the snapshot fuzz
-/// suite leans on.
+/// checksum of the shared frame codec (framing.h), which stamps every
+/// snapshot section and every RPC wire frame with it. Software
+/// slice-by-one implementation, portable but bytewise: payloads run from
+/// empty frames to multi-megabyte frozen-system images and 16 MiB wire
+/// frames, and no gated workload shows the checksum yet (slicing-by-8 is an
+/// open ROADMAP item). Detects all single-bit and all burst errors up to
+/// 32 bits, which the snapshot fuzz suite leans on.
 ///
 /// `Extend(crc, data)` continues a running checksum (start from
 /// `kCrc32cInit`, i.e. 0); `Crc32c(data)` is the one-shot form.

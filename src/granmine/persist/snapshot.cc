@@ -2,44 +2,23 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "granmine/obs/obs.h"
-#include "granmine/persist/crc32c.h"
+#include "granmine/persist/framing.h"
 
 namespace granmine::persist {
 
 namespace {
 
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4;
-constexpr std::size_t kFrameBytes = 4 + 4 + 8 + 4;
+/// A section frame: u32 type | u32 reserved, then the shared length + CRC.
+constexpr FrameLayout kSectionLayout{8, "snapshot section"};
+constexpr std::size_t kFrameBytes = kSectionLayout.header_size();
 /// Truncated-input reads grow the payload buffer in bounded slices so a
 /// bit-flipped length field can never trigger one huge allocation before the
 /// missing bytes are noticed.
 constexpr std::size_t kReadChunk = std::size_t{1} << 20;
-
-void AppendLeU32(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendLeU64(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t LoadLeU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-std::uint64_t LoadLeU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
 
 /// Charges `bytes` of checkpoint I/O against the governor as steps (one per
 /// kGovernedBytesPerStep, accumulated so small sections still add up).
@@ -70,11 +49,9 @@ Status SnapshotWriter::WriteHeader() {
   if (header_written_) {
     return Status::Internal("snapshot header already written");
   }
-  std::vector<std::uint8_t> header;
-  header.insert(header.end(), std::begin(kSnapshotMagic),
-                std::end(kSnapshotMagic));
-  AppendLeU32(&header, kSnapshotFormatVersion);
-  AppendLeU32(&header, 0);  // reserved
+  std::uint8_t header[kHeaderBytes] = {};  // the trailing u32 is reserved
+  std::memcpy(header, kSnapshotMagic, sizeof(kSnapshotMagic));
+  StoreLe<std::uint32_t>(header + 8, kSnapshotFormatVersion);
   GM_RETURN_NOT_OK(sink_->Append(header));
   header_written_ = true;
   return Status::OK();
@@ -91,16 +68,10 @@ Status SnapshotWriter::WriteSection(SectionType type,
       cause != StopCause::kNone) {
     return StopCauseToStatus(cause, "snapshot write");
   }
+  std::uint8_t fields[kSectionLayout.field_bytes] = {};  // type | reserved
+  StoreLe<std::uint32_t>(fields, static_cast<std::uint32_t>(type));
   std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameBytes);
-  AppendLeU32(&frame, static_cast<std::uint32_t>(type));
-  AppendLeU32(&frame, 0);  // reserved
-  AppendLeU64(&frame, payload.size());
-  // The CRC covers the frame fields above AND the payload, so a flipped
-  // length or type is caught before the reader trusts either.
-  std::uint32_t crc = ExtendCrc32c(kCrc32cInit, frame);
-  crc = ExtendCrc32c(crc, payload);
-  AppendLeU32(&frame, crc);
+  kSectionLayout.AppendHeader(fields, payload, &frame);
   GM_RETURN_NOT_OK(sink_->Append(frame));
   GM_RETURN_NOT_OK(sink_->Append(payload));
   ++sections_written_;
@@ -149,7 +120,7 @@ Status SnapshotReader::ReadHeader() {
     return Status::Invalid(
         "not a granmine snapshot (bad magic at byte offset 0)");
   }
-  format_version_ = LoadLeU32(header + 8);
+  format_version_ = LoadLe<std::uint32_t>(header + 8);
   if (format_version_ != kSnapshotFormatVersion) {
     return Status::Unsupported(
         "snapshot format version " + std::to_string(format_version_) +
@@ -167,12 +138,15 @@ Result<Section> SnapshotReader::Next() {
   const std::uint64_t frame_offset = source_->offset();
   std::uint8_t frame[kFrameBytes];
   GM_RETURN_NOT_OK(ReadExact(frame, "section frame"));
-  const std::uint32_t type = LoadLeU32(frame);
-  const std::uint64_t length = LoadLeU64(frame + 8);
-  const std::uint32_t stored_crc = LoadLeU32(frame + 16);
+  // No length bound here: the memory charge below refuses an implausible
+  // length instead, and the chunked read finds a truncated one.
+  GM_ASSIGN_OR_RETURN(
+      const std::uint64_t length,
+      kSectionLayout.PayloadLength(
+          frame, std::numeric_limits<std::uint64_t>::max(), frame_offset));
 
   Section section;
-  section.type = static_cast<SectionType>(type);
+  section.type = static_cast<SectionType>(LoadLe<std::uint32_t>(frame));
   section.payload_offset = source_->offset();
   if (StopCause cause = ChargeIo(&ticket_, &charged_bytes_, kFrameBytes);
       cause != StopCause::kNone) {
@@ -212,15 +186,8 @@ Result<Section> SnapshotReader::Next() {
   }
   GM_RETURN_NOT_OK(read_status);
 
-  std::uint32_t crc = ExtendCrc32c(
-      kCrc32cInit, std::span<const std::uint8_t>(frame, kFrameBytes - 4));
-  crc = ExtendCrc32c(crc, section.payload);
-  if (crc != stored_crc) {
-    return Status::Invalid(
-        "snapshot section CRC mismatch (frame at byte offset " +
-        std::to_string(frame_offset) + ", payload length " +
-        std::to_string(length) + ")");
-  }
+  GM_RETURN_NOT_OK(
+      kSectionLayout.CheckCrc(frame, section.payload, frame_offset));
   if (section.type == SectionType::kEnd) {
     if (!section.payload.empty()) {
       return Status::Invalid("snapshot trailer carries payload at byte offset " +
@@ -251,57 +218,14 @@ Result<std::vector<Section>> ReadAllSections(ByteSource* source,
 // ---------------------------------------------------------------------------
 // Encoder / Decoder
 
-void Encoder::PutU32(std::uint32_t v) { AppendLeU32(&buffer_, v); }
-void Encoder::PutU64(std::uint64_t v) { AppendLeU64(&buffer_, v); }
-
 void Encoder::PutString(std::string_view s) {
   PutU32(static_cast<std::uint32_t>(s.size()));
   buffer_.insert(buffer_.end(), s.begin(), s.end());
 }
 
 Status Decoder::Corrupt(const std::string& detail) const {
-  return Status::Invalid("snapshot: " + detail + " at byte offset " +
-                         std::to_string(offset()));
-}
-
-Status Decoder::GetU8(const char* field, std::uint8_t* out) {
-  if (remaining() < 1) {
-    return Corrupt("truncated reading " + std::string(field));
-  }
-  *out = data_[pos_++];
-  return Status::OK();
-}
-
-Status Decoder::GetU32(const char* field, std::uint32_t* out) {
-  if (remaining() < 4) {
-    return Corrupt("truncated reading " + std::string(field));
-  }
-  *out = LoadLeU32(data_.data() + pos_);
-  pos_ += 4;
-  return Status::OK();
-}
-
-Status Decoder::GetU64(const char* field, std::uint64_t* out) {
-  if (remaining() < 8) {
-    return Corrupt("truncated reading " + std::string(field));
-  }
-  *out = LoadLeU64(data_.data() + pos_);
-  pos_ += 8;
-  return Status::OK();
-}
-
-Status Decoder::GetI64(const char* field, std::int64_t* out) {
-  std::uint64_t raw = 0;
-  GM_RETURN_NOT_OK(GetU64(field, &raw));
-  *out = static_cast<std::int64_t>(raw);
-  return Status::OK();
-}
-
-Status Decoder::GetI32(const char* field, std::int32_t* out) {
-  std::uint32_t raw = 0;
-  GM_RETURN_NOT_OK(GetU32(field, &raw));
-  *out = static_cast<std::int32_t>(raw);
-  return Status::OK();
+  return Status::Invalid(std::string(container_) + ": " + detail +
+                         " at byte offset " + std::to_string(offset()));
 }
 
 Status Decoder::GetString(const char* field, std::string* out) {

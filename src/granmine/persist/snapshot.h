@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "granmine/common/governor.h"
 #include "granmine/common/result.h"
 #include "granmine/common/status.h"
 #include "granmine/persist/bytes.h"
+#include "granmine/persist/framing.h"
 
 namespace granmine::persist {
 
@@ -20,6 +22,8 @@ namespace granmine::persist {
 ///   section*: u32 type | u32 reserved | u64 payload length
 ///             | u32 crc32c(frame fields + payload) | payload bytes
 ///   trailer:  one section of type kEnd with empty payload
+///
+/// Sections are frames of the shared codec in framing.h.
 ///
 /// Readers skip sections whose type they do not know (the length makes every
 /// frame forward-skippable), so old binaries read new snapshots; a format
@@ -134,8 +138,8 @@ Result<std::vector<Section>> ReadAllSections(ByteSource* source,
 class Encoder {
  public:
   void PutU8(std::uint8_t v) { buffer_.push_back(v); }
-  void PutU32(std::uint32_t v);
-  void PutU64(std::uint64_t v);
+  void PutU32(std::uint32_t v) { PutLe(v); }
+  void PutU64(std::uint64_t v) { PutLe(v); }
   void PutI64(std::int64_t v) { PutU64(static_cast<std::uint64_t>(v)); }
   void PutI32(std::int32_t v) { PutU32(static_cast<std::uint32_t>(v)); }
   /// u32 length prefix + raw bytes.
@@ -146,23 +150,41 @@ class Encoder {
   std::size_t size() const { return buffer_.size(); }
 
  private:
+  template <typename T>
+  void PutLe(T v) {
+    buffer_.resize(buffer_.size() + sizeof(T));
+    StoreLe<T>(buffer_.data() + buffer_.size() - sizeof(T), v);
+  }
+
   std::vector<std::uint8_t> buffer_;
 };
 
 /// Bounds-checked little-endian payload reader. Every getter takes the
-/// field name it is decoding; on exhausted input the Status names the field
-/// and the *absolute* byte offset (payload base + local position), so a
-/// truncated or bit-flipped snapshot pinpoints where decoding died.
+/// field name it is decoding; on exhausted input the Status names the
+/// container, the field and the *absolute* byte offset (payload base +
+/// local position), so a truncated or bit-flipped snapshot — or a malformed
+/// wire frame payload — pinpoints where decoding died.
 class Decoder {
  public:
-  Decoder(std::span<const std::uint8_t> data, std::uint64_t base_offset)
-      : data_(data), base_offset_(base_offset) {}
+  Decoder(std::span<const std::uint8_t> data, std::uint64_t base_offset,
+          const char* container = "snapshot")
+      : data_(data), base_offset_(base_offset), container_(container) {}
 
-  Status GetU8(const char* field, std::uint8_t* out);
-  Status GetU32(const char* field, std::uint32_t* out);
-  Status GetU64(const char* field, std::uint64_t* out);
-  Status GetI64(const char* field, std::int64_t* out);
-  Status GetI32(const char* field, std::int32_t* out);
+  Status GetU8(const char* field, std::uint8_t* out) {
+    return GetLe(field, out);
+  }
+  Status GetU32(const char* field, std::uint32_t* out) {
+    return GetLe(field, out);
+  }
+  Status GetU64(const char* field, std::uint64_t* out) {
+    return GetLe(field, out);
+  }
+  Status GetI64(const char* field, std::int64_t* out) {
+    return GetLe(field, out);
+  }
+  Status GetI32(const char* field, std::int32_t* out) {
+    return GetLe(field, out);
+  }
   Status GetString(const char* field, std::string* out);
 
   /// Fails unless every payload byte has been consumed — trailing garbage
@@ -178,8 +200,20 @@ class Decoder {
   Status Corrupt(const std::string& detail) const;
 
  private:
+  template <typename T>
+  Status GetLe(const char* field, T* out) {
+    if (remaining() < sizeof(T)) {
+      return Corrupt("truncated reading " + std::string(field));
+    }
+    *out = static_cast<T>(
+        LoadLe<std::make_unsigned_t<T>>(data_.data() + pos_));
+    pos_ += sizeof(T);
+    return Status::OK();
+  }
+
   std::span<const std::uint8_t> data_;
   std::uint64_t base_offset_;
+  const char* container_;
   std::size_t pos_ = 0;
 };
 

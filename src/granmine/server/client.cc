@@ -9,25 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "granmine/persist/crc32c.h"
-
 namespace granmine::server {
-
-namespace {
-
-std::uint32_t GetU32Le(const std::uint8_t* in) {
-  return static_cast<std::uint32_t>(in[0]) |
-         static_cast<std::uint32_t>(in[1]) << 8 |
-         static_cast<std::uint32_t>(in[2]) << 16 |
-         static_cast<std::uint32_t>(in[3]) << 24;
-}
-
-std::uint64_t GetU64Le(const std::uint8_t* in) {
-  return static_cast<std::uint64_t>(GetU32Le(in)) |
-         static_cast<std::uint64_t>(GetU32Le(in + 4)) << 32;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
                                                 std::uint16_t port) {
@@ -55,8 +37,13 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
   std::vector<std::uint8_t> hello;
   AppendPreamble(&hello);
   GM_RETURN_NOT_OK(client->SendBytes(hello));
+  // Exactly the preamble: reply frames are ReadFrame's to buffer.
   std::uint8_t peer[kPreambleSize];
-  GM_RETURN_NOT_OK(client->ReadExact(peer));
+  for (std::size_t got = 0; got < kPreambleSize;) {
+    GM_ASSIGN_OR_RETURN(const std::size_t n,
+                        client->ReadSome(std::span(peer).subspan(got)));
+    got += n;
+  }
   GM_RETURN_NOT_OK(CheckPreamble(peer));
   return client;
 }
@@ -81,45 +68,25 @@ Status Client::SendBytes(std::span<const std::uint8_t> bytes) {
   return Status::OK();
 }
 
-Status Client::ReadExact(std::span<std::uint8_t> out) {
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const ssize_t n = ::read(fd_, out.data() + got, out.size() - got);
-    if (n == 0) {
-      return Status::Internal("connection closed by server after " +
-                              std::to_string(got) + " bytes");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
+Result<std::size_t> Client::ReadSome(std::span<std::uint8_t> out) {
+  while (true) {
+    const ssize_t n = ::read(fd_, out.data(), out.size());
+    if (n > 0) return static_cast<std::size_t>(n);
+    if (n == 0) return Status::Internal("connection closed by server");
+    if (errno != EINTR) {
       return Status::Internal(std::string("read: ") + std::strerror(errno));
     }
-    got += static_cast<std::size_t>(n);
   }
-  return Status::OK();
 }
 
 Result<Frame> Client::ReadFrame() {
-  std::uint8_t header[kFrameHeaderSize];
-  GM_RETURN_NOT_OK(ReadExact(header));
-  Frame frame;
-  frame.type = static_cast<FrameType>(GetU32Le(header));
-  frame.flags = GetU32Le(header + 4);
-  frame.corr_id = GetU64Le(header + 8);
-  const std::uint64_t payload_len = GetU64Le(header + 16);
-  if (payload_len > kMaxPayloadBytes) {
-    return Status::Invalid("reply payload length " +
-                           std::to_string(payload_len) + " exceeds the " +
-                           std::to_string(kMaxPayloadBytes) + "-byte bound");
+  while (true) {
+    GM_ASSIGN_OR_RETURN(std::optional<Frame> frame, parser_.Next());
+    if (frame.has_value()) return std::move(*frame);
+    std::uint8_t buf[16384];
+    GM_ASSIGN_OR_RETURN(const std::size_t n, ReadSome(buf));
+    parser_.Feed(std::span<const std::uint8_t>(buf, n));
   }
-  frame.payload.resize(static_cast<std::size_t>(payload_len));
-  GM_RETURN_NOT_OK(ReadExact(frame.payload));
-  std::uint32_t crc = persist::ExtendCrc32c(
-      persist::kCrc32cInit, std::span<const std::uint8_t>(header, 24));
-  crc = persist::ExtendCrc32c(crc, frame.payload);
-  if (crc != GetU32Le(header + 24)) {
-    return Status::Invalid("reply frame CRC mismatch");
-  }
-  return frame;
 }
 
 Result<Response> Client::Call(FrameType type,

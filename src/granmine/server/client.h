@@ -59,15 +59,21 @@ class Client {
   /// Raw transport access for protocol fault-injection tests (torn writes,
   /// corrupted frames).
   Status SendBytes(std::span<const std::uint8_t> bytes);
+  /// The next reply frame: socket reads feed a FrameParser, so a frame
+  /// gets the same length bound, CRC check and offset-bearing errors as on
+  /// the server side.
   Result<Frame> ReadFrame();
   int fd() const { return fd_; }
 
  private:
   explicit Client(int fd) : fd_(fd) {}
-  Status ReadExact(std::span<std::uint8_t> out);
+  /// One read(2) of at least one byte; a closed connection is an error.
+  Result<std::size_t> ReadSome(std::span<std::uint8_t> out);
 
   int fd_ = -1;
   std::uint64_t next_corr_ = 0;
+  /// Reply bytes read past the last returned frame stay here.
+  FrameParser parser_;
 };
 
 }  // namespace granmine::server

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -19,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "granmine/common/ring_buffer.h"
 #include "granmine/engine/admission.h"
 #include "granmine/engine/engine.h"
 #include "granmine/engine/statusz.h"
@@ -94,7 +94,7 @@ struct Server::Impl {
     bool preamble_ok = false;
 
     // Cross-thread state — guarded by Impl::mu_.
-    RingBuffer<std::uint8_t> outbox;
+    persist::ByteQueue outbox;
     std::deque<std::pair<Frame, std::uint64_t>> pending;  // frame, request id
     bool busy = false;   ///< one dispatched frame in flight on a worker
     bool fatal = false;  ///< protocol error: flush the error frame, close
@@ -158,7 +158,7 @@ struct Server::Impl {
 
   void EnqueueBytesLocked(Connection* conn,
                           const std::vector<std::uint8_t>& bytes) {
-    for (std::uint8_t b : bytes) conn->outbox.push_back(b);
+    conn->outbox.Append(bytes);
     if (conn->outbox.size() > options_.max_outbox_bytes && !conn->dead) {
       // A peer that pipelines requests but never drains its replies: drop
       // the connection rather than buffer without bound. No error frame —
@@ -180,14 +180,8 @@ struct Server::Impl {
   /// connection: the loop flushes this frame, then closes.
   void SendError(Connection* conn, std::uint64_t corr_id, const Status& status,
                  bool retryable, std::uint64_t backoff_ms, bool fatal) {
-    ErrorBody error;
-    error.status_code = static_cast<std::uint32_t>(status.code());
-    error.retryable = retryable;
-    error.fatal = fatal;
-    error.backoff_ms = backoff_ms;
-    error.message = status.ToString();
     std::vector<std::uint8_t> bytes;
-    AppendFrame(&bytes, FrameType::kErrorReply, corr_id, EncodeError(error));
+    AppendErrorFrame(&bytes, corr_id, status, retryable, backoff_ms, fatal);
     std::lock_guard<std::mutex> lock(mu_);
     EnqueueBytesLocked(conn, bytes);
     if (fatal) conn->fatal = true;
@@ -378,10 +372,10 @@ struct Server::Impl {
         GM_COUNTER_ADD("granmine_server_bytes_read_total", "", n);
         std::size_t offset = 0;
         if (!conn->preamble_ok) {
-          while (conn->preamble_got < kPreambleSize &&
-                 offset < static_cast<std::size_t>(n)) {
-            conn->preamble[conn->preamble_got++] = buf[offset++];
-          }
+          offset = std::min(kPreambleSize - conn->preamble_got,
+                            static_cast<std::size_t>(n));
+          std::memcpy(conn->preamble + conn->preamble_got, buf, offset);
+          conn->preamble_got += offset;
           if (conn->preamble_got == kPreambleSize) {
             Status status = CheckPreamble(
                 std::span<const std::uint8_t>(conn->preamble, kPreambleSize));
@@ -497,7 +491,7 @@ struct Server::Impl {
       {
         std::lock_guard<std::mutex> lock(mu_);
         staged = std::min(conn->outbox.size(), sizeof(buf));
-        for (std::size_t i = 0; i < staged; ++i) buf[i] = conn->outbox[i];
+        std::copy_n(conn->outbox.view().begin(), staged, buf);
       }
       if (staged == 0) return;
       // MSG_NOSIGNAL: a peer that closed with replies still queued must
@@ -506,7 +500,7 @@ struct Server::Impl {
       if (written > 0) {
         GM_COUNTER_ADD("granmine_server_bytes_written_total", "", written);
         std::lock_guard<std::mutex> lock(mu_);
-        for (ssize_t i = 0; i < written; ++i) conn->outbox.pop_front();
+        conn->outbox.Consume(static_cast<std::size_t>(written));
         if (static_cast<std::size_t>(written) < staged) return;
         continue;
       }

@@ -2,35 +2,9 @@
 
 #include <cstring>
 
-#include "granmine/persist/crc32c.h"
-
 namespace granmine::server {
 
 namespace {
-
-void PutU32Le(std::uint8_t* out, std::uint32_t v) {
-  out[0] = static_cast<std::uint8_t>(v);
-  out[1] = static_cast<std::uint8_t>(v >> 8);
-  out[2] = static_cast<std::uint8_t>(v >> 16);
-  out[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void PutU64Le(std::uint8_t* out, std::uint64_t v) {
-  PutU32Le(out, static_cast<std::uint32_t>(v));
-  PutU32Le(out + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t GetU32Le(const std::uint8_t* in) {
-  return static_cast<std::uint32_t>(in[0]) |
-         static_cast<std::uint32_t>(in[1]) << 8 |
-         static_cast<std::uint32_t>(in[2]) << 16 |
-         static_cast<std::uint32_t>(in[3]) << 24;
-}
-
-std::uint64_t GetU64Le(const std::uint8_t* in) {
-  return static_cast<std::uint64_t>(GetU32Le(in)) |
-         static_cast<std::uint64_t>(GetU32Le(in + 4)) << 32;
-}
 
 void PutPins(persist::Encoder* enc, const std::vector<std::string>& pins) {
   enc->PutU32(static_cast<std::uint32_t>(pins.size()));
@@ -59,11 +33,10 @@ Status GetPins(persist::Decoder* dec, std::vector<std::string>* pins) {
 }  // namespace
 
 void AppendPreamble(std::vector<std::uint8_t>* out) {
-  const auto* magic = reinterpret_cast<const std::uint8_t*>(kWireMagic);
-  out->insert(out->end(), magic, magic + kMagicSize);
-  std::uint8_t version[4];
-  PutU32Le(version, kWireVersion);
-  out->insert(out->end(), version, version + 4);
+  std::uint8_t preamble[kPreambleSize];
+  std::memcpy(preamble, kWireMagic, kMagicSize);
+  persist::StoreLe<std::uint32_t>(preamble + kMagicSize, kWireVersion);
+  out->insert(out->end(), preamble, preamble + kPreambleSize);
 }
 
 Status CheckPreamble(std::span<const std::uint8_t> bytes) {
@@ -75,7 +48,8 @@ Status CheckPreamble(std::span<const std::uint8_t> bytes) {
   if (std::memcmp(bytes.data(), kWireMagic, kMagicSize) != 0) {
     return Status::Invalid("preamble: bad magic (not a granmine RPC peer)");
   }
-  const std::uint32_t version = GetU32Le(bytes.data() + kMagicSize);
+  const std::uint32_t version =
+      persist::LoadLe<std::uint32_t>(bytes.data() + kMagicSize);
   if (version != kWireVersion) {
     return Status::Unsupported("preamble: wire version " +
                                std::to_string(version) + ", this build speaks " +
@@ -87,54 +61,34 @@ Status CheckPreamble(std::span<const std::uint8_t> bytes) {
 void AppendFrame(std::vector<std::uint8_t>* out, FrameType type,
                  std::uint64_t corr_id,
                  std::span<const std::uint8_t> payload) {
-  std::uint8_t header[kFrameHeaderSize];
-  PutU32Le(header, static_cast<std::uint32_t>(type));
-  PutU32Le(header + 4, 0);  // flags: reserved, receivers ignore unknown bits
-  PutU64Le(header + 8, corr_id);
-  PutU64Le(header + 16, static_cast<std::uint64_t>(payload.size()));
-  std::uint32_t crc = persist::ExtendCrc32c(
-      persist::kCrc32cInit, std::span<const std::uint8_t>(header, 24));
-  crc = persist::ExtendCrc32c(crc, payload);
-  PutU32Le(header + 24, crc);
-  out->insert(out->end(), header, header + kFrameHeaderSize);
+  std::uint8_t fields[kFrameLayout.field_bytes];
+  persist::StoreLe<std::uint32_t>(fields, static_cast<std::uint32_t>(type));
+  persist::StoreLe<std::uint32_t>(fields + 4, 0);  // flags: reserved
+  persist::StoreLe<std::uint64_t>(fields + 8, corr_id);
+  kFrameLayout.AppendHeader(fields, payload, out);
   out->insert(out->end(), payload.begin(), payload.end());
 }
 
 Result<std::optional<Frame>> FrameParser::Next() {
-  if (buffer_.size() < kFrameHeaderSize) return std::optional<Frame>{};
-  std::uint8_t header[kFrameHeaderSize];
-  for (std::size_t i = 0; i < kFrameHeaderSize; ++i) header[i] = buffer_[i];
-  const std::uint64_t payload_len = GetU64Le(header + 16);
-  if (payload_len > max_payload_) {
-    return Status::Invalid(
-        "frame at offset " + std::to_string(consumed_) +
-        ": payload length " + std::to_string(payload_len) +
-        " exceeds the " + std::to_string(max_payload_) + "-byte bound");
-  }
-  if (buffer_.size() < kFrameHeaderSize + payload_len) {
+  const std::span<const std::uint8_t> bytes = buffer_.view();
+  if (bytes.size() < kFrameHeaderSize) return std::optional<Frame>{};
+  GM_ASSIGN_OR_RETURN(
+      const std::uint64_t payload_len,
+      kFrameLayout.PayloadLength(bytes, max_payload_, consumed_));
+  if (bytes.size() - kFrameHeaderSize < payload_len) {
     return std::optional<Frame>{};
   }
+  const std::span<const std::uint8_t> payload = bytes.subspan(
+      kFrameHeaderSize, static_cast<std::size_t>(payload_len));
+  GM_RETURN_NOT_OK(kFrameLayout.CheckCrc(bytes, payload, consumed_));
   Frame frame;
-  frame.type = static_cast<FrameType>(GetU32Le(header));
-  frame.flags = GetU32Le(header + 4);
-  frame.corr_id = GetU64Le(header + 8);
-  frame.payload.resize(static_cast<std::size_t>(payload_len));
-  for (std::size_t i = 0; i < frame.payload.size(); ++i) {
-    frame.payload[i] = buffer_[kFrameHeaderSize + i];
-  }
-  std::uint32_t crc = persist::ExtendCrc32c(
-      persist::kCrc32cInit, std::span<const std::uint8_t>(header, 24));
-  crc = persist::ExtendCrc32c(crc, frame.payload);
-  const std::uint32_t stored = GetU32Le(header + 24);
-  if (crc != stored) {
-    return Status::Invalid("frame at offset " + std::to_string(consumed_) +
-                           ": CRC mismatch (stored " + std::to_string(stored) +
-                           ", computed " + std::to_string(crc) + ")");
-  }
-  for (std::size_t i = 0; i < kFrameHeaderSize + frame.payload.size(); ++i) {
-    buffer_.pop_front();
-  }
-  consumed_ += kFrameHeaderSize + frame.payload.size();
+  frame.type =
+      static_cast<FrameType>(persist::LoadLe<std::uint32_t>(&bytes[0]));
+  frame.flags = persist::LoadLe<std::uint32_t>(&bytes[4]);
+  frame.corr_id = persist::LoadLe<std::uint64_t>(&bytes[8]);
+  frame.payload.assign(payload.begin(), payload.end());
+  buffer_.Consume(kFrameHeaderSize + payload.size());
+  consumed_ += kFrameHeaderSize + payload.size();
   return std::optional<Frame>{std::move(frame)};
 }
 
@@ -153,7 +107,7 @@ std::vector<std::uint8_t> EncodeMineCall(const MineCall& call) {
 }
 
 Status DecodeMineCall(std::span<const std::uint8_t> payload, MineCall* out) {
-  persist::Decoder dec(payload, 0);
+  persist::Decoder dec(payload, 0, "frame payload");
   GM_RETURN_NOT_OK(dec.GetString("structure text", &out->structure_text));
   GM_RETURN_NOT_OK(dec.GetString("events text", &out->events_text));
   GM_RETURN_NOT_OK(dec.GetString("reference", &out->reference));
@@ -176,7 +130,7 @@ std::vector<std::uint8_t> EncodeCheckCall(const CheckCall& call) {
 }
 
 Status DecodeCheckCall(std::span<const std::uint8_t> payload, CheckCall* out) {
-  persist::Decoder dec(payload, 0);
+  persist::Decoder dec(payload, 0, "frame payload");
   GM_RETURN_NOT_OK(dec.GetString("structure text", &out->structure_text));
   std::uint8_t exact = 0;
   GM_RETURN_NOT_OK(dec.GetU8("exact flag", &exact));
@@ -192,7 +146,7 @@ std::vector<std::uint8_t> EncodeDotCall(const DotCall& call) {
 }
 
 Status DecodeDotCall(std::span<const std::uint8_t> payload, DotCall* out) {
-  persist::Decoder dec(payload, 0);
+  persist::Decoder dec(payload, 0, "frame payload");
   GM_RETURN_NOT_OK(dec.GetString("structure text", &out->structure_text));
   std::uint8_t tag = 0;
   GM_RETURN_NOT_OK(dec.GetU8("tag flag", &tag));
@@ -215,7 +169,7 @@ std::vector<std::uint8_t> EncodeStreamOpenCall(const StreamOpenCall& call) {
 
 Status DecodeStreamOpenCall(std::span<const std::uint8_t> payload,
                             StreamOpenCall* out) {
-  persist::Decoder dec(payload, 0);
+  persist::Decoder dec(payload, 0, "frame payload");
   GM_RETURN_NOT_OK(dec.GetString("structure text", &out->structure_text));
   GM_RETURN_NOT_OK(dec.GetString("reference", &out->reference));
   GM_RETURN_NOT_OK(dec.GetString("window", &out->window));
@@ -241,7 +195,7 @@ std::vector<std::uint8_t> EncodeReply(const ReplyBody& reply) {
 }
 
 Status DecodeReply(std::span<const std::uint8_t> payload, ReplyBody* out) {
-  persist::Decoder dec(payload, 0);
+  persist::Decoder dec(payload, 0, "frame payload");
   GM_RETURN_NOT_OK(dec.GetI32("exit code", &out->exit_code));
   GM_RETURN_NOT_OK(dec.GetString("stdout", &out->out));
   GM_RETURN_NOT_OK(dec.GetString("stderr", &out->err));
@@ -260,7 +214,7 @@ std::vector<std::uint8_t> EncodeError(const ErrorBody& error) {
 }
 
 Status DecodeError(std::span<const std::uint8_t> payload, ErrorBody* out) {
-  persist::Decoder dec(payload, 0);
+  persist::Decoder dec(payload, 0, "frame payload");
   GM_RETURN_NOT_OK(dec.GetU32("status code", &out->status_code));
   std::uint8_t retryable = 0, fatal = 0;
   GM_RETURN_NOT_OK(dec.GetU8("retryable flag", &retryable));
@@ -284,7 +238,7 @@ std::vector<std::uint8_t> EncodeStreamAck(const StreamAckBody& ack) {
 
 Status DecodeStreamAck(std::span<const std::uint8_t> payload,
                        StreamAckBody* out) {
-  persist::Decoder dec(payload, 0);
+  persist::Decoder dec(payload, 0, "frame payload");
   GM_RETURN_NOT_OK(dec.GetU64("accepted", &out->accepted));
   GM_RETURN_NOT_OK(dec.GetU64("rejected late", &out->rejected_late));
   GM_RETURN_NOT_OK(dec.GetI32("exit code", &out->exit_code));

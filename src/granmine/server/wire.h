@@ -2,12 +2,13 @@
 #define GRANMINE_SERVER_WIRE_H_
 
 // The granmine RPC wire format (docs/serving.md): a 12-byte connection
-// preamble followed by length-prefixed, CRC-checked frames, built on the
-// persist layer's little-endian Encoder/Decoder conventions
-// (docs/persistence.md). The format is deliberately snapshot-shaped —
-// magic + u32 version up front, a CRC32C over every frame, unknown frame
-// types skippable by construction — so the forward-compatibility rules
-// operators already know from snapshots apply on the wire too.
+// preamble followed by length-prefixed, CRC-checked frames. The frames are
+// the persist layer's one frame codec (persist/framing.h) and the payloads
+// its little-endian Encoder/Decoder (docs/persistence.md). The format is
+// deliberately snapshot-shaped — magic + u32 version up front, a CRC32C
+// over every frame, unknown frame types skippable by construction — so the
+// forward-compatibility rules operators already know from snapshots apply
+// on the wire too.
 
 #include <cstdint>
 #include <optional>
@@ -16,7 +17,7 @@
 #include <vector>
 
 #include "granmine/common/result.h"
-#include "granmine/common/ring_buffer.h"
+#include "granmine/persist/framing.h"
 #include "granmine/persist/snapshot.h"
 
 namespace granmine::server {
@@ -31,7 +32,8 @@ inline constexpr std::size_t kPreambleSize = kMagicSize + 4;
 
 /// Frame header: u32 type | u32 flags | u64 correlation id | u64 payload
 /// length | u32 CRC32C over the first 24 header bytes plus the payload.
-inline constexpr std::size_t kFrameHeaderSize = 28;
+inline constexpr persist::FrameLayout kFrameLayout{16, "frame"};
+inline constexpr std::size_t kFrameHeaderSize = kFrameLayout.header_size();
 
 /// Plausibility bound on a single frame payload. A header announcing more
 /// is a protocol error (likely stream desync), not an allocation request.
@@ -87,9 +89,7 @@ class FrameParser {
   explicit FrameParser(std::uint64_t max_payload = kMaxPayloadBytes)
       : max_payload_(max_payload) {}
 
-  void Feed(std::span<const std::uint8_t> bytes) {
-    for (std::uint8_t b : bytes) buffer_.push_back(b);
-  }
+  void Feed(std::span<const std::uint8_t> bytes) { buffer_.Append(bytes); }
 
   /// One complete frame if buffered, std::nullopt if more bytes are needed,
   /// or a Status naming the absolute stream offset of the corruption.
@@ -101,7 +101,7 @@ class FrameParser {
   std::uint64_t consumed() const { return consumed_; }
 
  private:
-  RingBuffer<std::uint8_t> buffer_;
+  persist::ByteQueue buffer_;
   std::uint64_t max_payload_;
   std::uint64_t consumed_ = 0;
 };
@@ -111,7 +111,8 @@ class FrameParser {
 // Payloads reuse persist::Encoder / persist::Decoder: little-endian
 // fixed-width integers and u32-length-prefixed strings. Every decoder ends
 // with ExpectEnd, so trailing garbage inside a CRC-valid frame is still a
-// codec mismatch with a byte offset.
+// codec mismatch with a byte offset; decode errors name the "frame payload"
+// and the offset within it.
 
 /// One `mine` request, carried by value: the server reads no files, the
 /// client ships the structure / event texts. String knobs that the CLI

@@ -1,7 +1,9 @@
 // The persistence subsystem's contract suite (docs/persistence.md):
 //
-//  - container: header/section/trailer framing roundtrips, unknown section
-//    types are forward-skippable, truncation is Invalid with a byte offset;
+//  - container: the byte layout matches docs/persistence.md, the CRC is the
+//    standard CRC-32C, header/section/trailer framing roundtrips, unknown
+//    section types are forward-skippable, truncation is Invalid with a byte
+//    offset;
 //  - warm start: FreezeFromImage installs sealed caches identical to a cold
 //    Freeze and refuses an image from a different family;
 //  - stream checkpoint/restore: the crash-recovery differential — kill the
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "granmine/mining/miner.h"
 #include "granmine/persist/bytes.h"
 #include "granmine/persist/codecs.h"
+#include "granmine/persist/crc32c.h"
 #include "granmine/persist/snapshot.h"
 #include "granmine/persist/stream_codec.h"
 #include "granmine/stream/online_miner.h"
@@ -74,6 +78,69 @@ std::vector<std::uint8_t> Bytes(std::initializer_list<int> values) {
 
 // ---------------------------------------------------------------------------
 // Container framing.
+
+// The standard CRC-32C check value (the CRC of the ASCII digits 1-9), so a
+// self-consistent but non-standard checksum cannot pass the round trips.
+TEST(SnapshotContainerTest, Crc32cMatchesTheStandardCheckValue) {
+  const std::string digits = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(digits.data()), digits.size());
+  EXPECT_EQ(persist::Crc32c(bytes), 0xE3069283u);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head =
+        persist::ExtendCrc32c(persist::kCrc32cInit, bytes.first(split));
+    EXPECT_EQ(persist::ExtendCrc32c(head, bytes.subspan(split)), 0xE3069283u)
+        << "split at " << split;
+  }
+}
+
+// The byte offsets pinned here are normative in docs/persistence.md
+// ("Container format"): a 16-byte header, then per section u32 type |
+// u32 reserved | u64 length | u32 CRC32C = 20 frame bytes before the
+// payload, and a kEnd trailer with an empty payload.
+TEST(SnapshotContainerTest, SectionLayoutMatchesSpec) {
+  VectorSink sink;
+  SnapshotWriter writer(&sink);
+  ASSERT_TRUE(writer.WriteHeader().ok());
+  const std::vector<std::uint8_t> payload = Bytes({0xAA, 0xBB, 0xCC});
+  ASSERT_TRUE(writer.WriteSection(SectionType::kMeta, payload).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  const std::vector<std::uint8_t>& bytes = sink.buffer();
+  ASSERT_EQ(bytes.size(), 16u + 20u + payload.size() + 20u);
+  // Header: magic "GMSNAP01", u32 format version 1, u32 reserved zero.
+  EXPECT_EQ(std::memcmp(bytes.data(), "GMSNAP01", 8), 0);
+  EXPECT_EQ(bytes[8], 1u);
+  EXPECT_EQ(bytes[11], 0u);
+  EXPECT_EQ(bytes[12], 0u);
+  EXPECT_EQ(bytes[15], 0u);
+  // Section frame at offset 16: u32 type (kMeta = 4) at +0.
+  EXPECT_EQ(bytes[16], 4u);
+  EXPECT_EQ(bytes[19], 0u);
+  // u32 reserved at +4, zero.
+  EXPECT_EQ(bytes[20], 0u);
+  EXPECT_EQ(bytes[23], 0u);
+  // u64 payload length at +8.
+  EXPECT_EQ(bytes[24], payload.size());
+  EXPECT_EQ(bytes[31], 0u);
+  // u32 CRC32C at +16 over the 16 frame bytes before it plus the payload.
+  std::vector<std::uint8_t> covered(bytes.begin() + 16, bytes.begin() + 32);
+  covered.insert(covered.end(), payload.begin(), payload.end());
+  const std::uint32_t crc = persist::Crc32c(covered);
+  EXPECT_EQ(bytes[32], crc & 0xFFu);
+  EXPECT_EQ(bytes[35], crc >> 24);
+  // Payload at +20.
+  EXPECT_EQ(bytes[36], 0xAAu);
+  EXPECT_EQ(bytes[38], 0xCCu);
+  // Trailer: type kEnd (0), zero length, CRC over its 16 zero frame bytes.
+  const std::size_t trailer = 39;
+  for (std::size_t i = trailer; i < trailer + 16; ++i) {
+    EXPECT_EQ(bytes[i], 0u) << "trailer byte " << i;
+  }
+  const std::uint32_t end_crc =
+      persist::Crc32c(std::vector<std::uint8_t>(16, 0));
+  EXPECT_EQ(bytes[trailer + 16], end_crc & 0xFFu);
+  EXPECT_EQ(bytes[trailer + 19], end_crc >> 24);
+}
 
 TEST(SnapshotContainerTest, RoundtripsSectionsInOrder) {
   VectorSink sink;

@@ -1,8 +1,9 @@
 // The serving-layer contract suite (docs/serving.md):
 //
 //  - wire format: the frame layout constants match the spec's table, the
-//    incremental parser survives one-byte-at-a-time delivery, and CRC /
-//    length corruption is a protocol error naming the stream offset;
+//    incremental parser survives one-byte-at-a-time delivery and seeded
+//    random fragmentation of a long pipelined stream, and CRC / length
+//    corruption is a protocol error naming the stream offset;
 //  - loopback differential: server responses are byte-identical to
 //    granmine_cli stdout (and exit codes match) for the same requests —
 //    mine (plain / --naive / pins / --explain / bad reference), check
@@ -10,7 +11,9 @@
 //    windowed stream driven frame by frame;
 //  - protocol faults: torn frames reassemble, a CRC-flipped frame draws a
 //    fatal error reply and a closed connection, an unknown frame type draws
-//    a non-fatal kUnsupported reply and the connection keeps serving;
+//    a non-fatal kUnsupported reply, a malformed payload in a CRC-valid
+//    frame a non-fatal kInvalidArgument reply, and the connection keeps
+//    serving;
 //  - overload: an injected queue-full fault surfaces as a retryable error
 //    frame carrying the admission reason and a suggested backoff;
 //  - connection robustness: a client hanging up with replies queued does
@@ -29,6 +32,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -37,6 +41,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <span>
 #include <sstream>
 #include <string>
@@ -47,6 +52,7 @@
 #include "granmine/engine/admission.h"
 #include "granmine/engine/engine.h"
 #include "granmine/granularity/system.h"
+#include "granmine/obs/metrics.h"
 #include "granmine/server/client.h"
 #include "granmine/server/server.h"
 #include "granmine/server/wire.h"
@@ -230,6 +236,68 @@ TEST(WireFormat, ParserSurvivesByteAtATimeDelivery) {
   EXPECT_EQ(frames[1].type, FrameType::kPing);
   EXPECT_EQ(parser.buffered(), 0u);
   EXPECT_EQ(parser.consumed(), bytes.size());
+}
+
+// The parser's one buffer compacts its consumed prefix as frames leave it.
+// A long pipelined stream of empty, small and near-bound frames, fed in
+// seeded random chunks with frames pulled between feeds, must come out
+// frame for frame, with the byte counters exact after every feed.
+TEST(WireFormat, RandomFragmentationYieldsEveryFrameInOrder) {
+  constexpr std::uint64_t kMaxPayload = 4096;
+  constexpr std::size_t kFrames = 1200;
+  std::mt19937_64 rng(18);
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<std::uint64_t> frame_ends;  // stream offset after each frame
+  std::vector<std::uint8_t> wire;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    std::size_t size = 0;
+    switch (rng() % 3) {
+      case 0:
+        break;
+      case 1:
+        size = 1 + rng() % 64;
+        break;
+      default:
+        size = kMaxPayload - rng() % 16;
+        break;
+    }
+    std::vector<std::uint8_t> payload(size);
+    for (std::uint8_t& b : payload) b = static_cast<std::uint8_t>(rng());
+    AppendFrame(&wire, FrameType::kStreamIngest, i, payload);
+    payloads.push_back(std::move(payload));
+    frame_ends.push_back(wire.size());
+  }
+
+  FrameParser parser(kMaxPayload);
+  std::size_t fed = 0;
+  std::size_t next = 0;
+  while (fed < wire.size()) {
+    // Mostly chunks up to two frames long, sometimes slivers of a header.
+    const std::size_t limit = rng() % 4 == 0 ? 8 : 2 * kMaxPayload;
+    const std::size_t chunk = std::min(wire.size() - fed, 1 + rng() % limit);
+    parser.Feed(std::span<const std::uint8_t>(wire).subspan(fed, chunk));
+    fed += chunk;
+    while (true) {
+      auto frame = parser.Next();
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      if (!frame->has_value()) break;
+      ASSERT_LT(next, kFrames);
+      EXPECT_EQ((*frame)->type, FrameType::kStreamIngest);
+      EXPECT_EQ((*frame)->corr_id, next);
+      EXPECT_EQ((*frame)->payload, payloads[next]) << "frame " << next;
+      ++next;
+    }
+    const std::uint64_t consumed = next == 0 ? 0 : frame_ends[next - 1];
+    ASSERT_EQ(parser.consumed(), consumed);
+    ASSERT_EQ(parser.buffered(), fed - consumed);
+    // What stays buffered is less than the next whole frame.
+    if (next < kFrames) {
+      ASSERT_LT(parser.buffered(), frame_ends[next] - consumed);
+    }
+  }
+  EXPECT_EQ(next, kFrames);
+  EXPECT_EQ(parser.consumed(), wire.size());
+  EXPECT_EQ(parser.buffered(), 0u);
 }
 
 TEST(WireFormat, CrcFlipIsAProtocolErrorWithAnOffset) {
@@ -502,6 +570,49 @@ TEST_F(ServerDifferentialTest, UnknownFrameTypeIsSkippedNotFatal) {
   // Forward compatibility: the connection keeps serving after skipping the
   // unknown frame.
   EXPECT_TRUE(client->Ping().ok());
+}
+
+// A CRC-valid frame whose payload does not decode is a client codec bug,
+// not a stream desync: a non-fatal kInvalidArgument reply that names the
+// field and its offset inside the frame payload, counted as a decode error,
+// and the connection keeps serving.
+TEST_F(ServerDifferentialTest, MalformedPayloadIsANonFatalDecodeError) {
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const bool metrics_were_enabled = registry.enabled();
+  registry.set_enabled(true);
+  auto decode_errors = [&registry] {
+    const obs::MetricsSnapshot snapshot = registry.Snapshot();
+    const obs::MetricValue* metric = snapshot.Find(
+        "granmine_server_frame_errors_total", "kind=\"decode\"");
+    return metric != nullptr ? metric->value : 0;
+  };
+  [[maybe_unused]] const std::uint64_t decode_errors_before =
+      decode_errors();
+
+  // The u32 length prefix of the structure text, then only 6 of its bytes.
+  std::vector<std::uint8_t> payload = EncodeMineCall(DemoMine());
+  payload.resize(4 + 6);
+  auto response = client->Call(FrameType::kMine, payload);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->type, FrameType::kErrorReply);
+  EXPECT_FALSE(response->error.fatal);
+  EXPECT_FALSE(response->error.retryable);
+  EXPECT_EQ(response->error.status_code,
+            static_cast<std::uint32_t>(StatusCode::kInvalidArgument));
+  const std::string& message = response->error.message;
+  EXPECT_NE(message.find("frame payload: truncated reading structure text"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("at byte offset 4"), std::string::npos) << message;
+  EXPECT_EQ(message.find("snapshot"), std::string::npos) << message;
+  EXPECT_EQ(srv_->frame_errors(), 1u);
+#if GRANMINE_OBS_ENABLED
+  EXPECT_EQ(decode_errors(), decode_errors_before + 1);
+#endif
+  EXPECT_TRUE(client->Ping().ok());
+  registry.set_enabled(metrics_were_enabled);
 }
 
 TEST_F(ServerDifferentialTest, StatuszFrameRendersTheEngineStatus) {
