@@ -4,9 +4,8 @@
 // request path — one mutex acquisition, one slot increment, and one ring
 // insertion per request, with zero admission state touched at all when the
 // controller is disabled. Series: (a) the Admit/Release pair itself
-// (disabled / enabled-uncontended), (b) an end-to-end Engine::Match request
-// with admission off vs on, (c) the same for Engine::Mine — the expensive
-// class, where the relative overhead should vanish entirely.
+// (disabled / enabled-uncontended), (b) an end-to-end Engine::Mine request
+// with admission off vs on.
 
 #include <benchmark/benchmark.h>
 
@@ -19,20 +18,17 @@
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
 #include "granmine/sequence/sequence.h"
-#include "granmine/tag/builder.h"
 
 namespace granmine {
 namespace {
 
-// One serving workload shared by every engine-level series: the 3-variable
+// One serving workload shared by the engine-level series: the 3-variable
 // chain over a 48-event sequence (same shape as tests/overload_test.cc).
 struct Workload {
   std::unique_ptr<Engine> engine;
   EventStructure structure;
   EventSequence seq;
   DiscoveryProblem problem;
-  TagBuildResult skeleton;
-  SymbolMap symbols = SymbolMap::FromAssignment({0, 1, 2}, 6);
 };
 
 Workload* MakeWorkload(bool admission_enabled) {
@@ -57,7 +53,6 @@ Workload* MakeWorkload(bool admission_enabled) {
   w->problem.structure = &w->structure;
   w->problem.reference_type = 0;
   w->problem.min_confidence = 0.05;
-  w->skeleton = std::move(*BuildTagForStructure(w->structure));
   return w;
 }
 
@@ -77,7 +72,7 @@ Workload* Admitted() {
 void BM_Admit_Disabled(benchmark::State& state) {
   AdmissionController controller{AdmissionOptions{}};
   for (auto _ : state) {
-    auto ticket = controller.Admit(RequestClass::kMatch, nullptr, 0);
+    auto ticket = controller.Admit(RequestClass::kStream, nullptr, 0);
     benchmark::DoNotOptimize(ticket);
   }
 }
@@ -88,7 +83,7 @@ void BM_Admit_Uncontended(benchmark::State& state) {
   options.enabled = true;
   AdmissionController controller(options);
   for (auto _ : state) {
-    auto ticket = controller.Admit(RequestClass::kMatch, nullptr, 0);
+    auto ticket = controller.Admit(RequestClass::kStream, nullptr, 0);
     benchmark::DoNotOptimize(ticket);
   }
   state.counters["admitted"] =
@@ -97,32 +92,7 @@ void BM_Admit_Uncontended(benchmark::State& state) {
 BENCHMARK(BM_Admit_Uncontended);
 
 // ---------------------------------------------------------------------------
-// (b) End-to-end Engine::Match — the cheapest request class, so the largest
-// relative admission overhead of any serving path.
-
-void RunMatch(benchmark::State& state, Workload* w) {
-  MatchRequest request;
-  request.tag = &w->skeleton.tag;
-  request.events = w->seq.View();
-  request.symbols = &w->symbols;
-  for (auto _ : state) {
-    auto response = w->engine->Match(request);
-    benchmark::DoNotOptimize(response);
-  }
-}
-
-void BM_EngineMatch_NoAdmission(benchmark::State& state) {
-  RunMatch(state, Plain());
-}
-BENCHMARK(BM_EngineMatch_NoAdmission);
-
-void BM_EngineMatch_Admitted(benchmark::State& state) {
-  RunMatch(state, Admitted());
-}
-BENCHMARK(BM_EngineMatch_Admitted);
-
-// ---------------------------------------------------------------------------
-// (c) End-to-end Engine::Mine — the expensive class.
+// (b) End-to-end Engine::Mine.
 
 void RunMine(benchmark::State& state, Workload* w) {
   MineRequest request;

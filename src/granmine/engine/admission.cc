@@ -29,8 +29,6 @@ std::string_view RequestClassToString(RequestClass cls) {
   switch (cls) {
     case RequestClass::kMine:
       return "mine";
-    case RequestClass::kMatch:
-      return "match";
     case RequestClass::kStream:
       return "stream";
   }
@@ -43,8 +41,6 @@ int SlotsFor(const AdmissionOptions& options, RequestClass cls) {
   switch (cls) {
     case RequestClass::kMine:
       return options.mine_slots;
-    case RequestClass::kMatch:
-      return options.match_slots;
     case RequestClass::kStream:
       return options.stream_slots;
   }
@@ -79,10 +75,6 @@ void NoteAdmitted(RequestClass cls) {
   switch (cls) {
     case RequestClass::kMine:
       GM_COUNTER_ADD("granmine_admission_admitted_total", "class=\"mine\"", 1);
-      break;
-    case RequestClass::kMatch:
-      GM_COUNTER_ADD("granmine_admission_admitted_total", "class=\"match\"",
-                     1);
       break;
     case RequestClass::kStream:
       GM_COUNTER_ADD("granmine_admission_admitted_total", "class=\"stream\"",

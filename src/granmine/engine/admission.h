@@ -16,12 +16,12 @@
 
 namespace granmine {
 
-/// The three serving classes the Engine routes; each has its own concurrency
-/// limit so a pile of NP-hard Mine requests cannot starve cheap Match calls.
-enum class RequestClass : int { kMine = 0, kMatch, kStream };
-inline constexpr int kRequestClassCount = 3;
+/// The two serving classes the Engine routes; each has its own concurrency
+/// limit so a pile of NP-hard Mine requests cannot starve stream sessions.
+enum class RequestClass : int { kMine = 0, kStream };
+inline constexpr int kRequestClassCount = 2;
 
-/// Canonical lowercase name ("mine", "match", "stream").
+/// Canonical lowercase name ("mine", "stream").
 std::string_view RequestClassToString(RequestClass cls);
 
 /// Whether `status` is a retryable admission shed — a ResourceExhausted
@@ -41,7 +41,6 @@ struct AdmissionOptions {
   /// Per-class concurrency limits; <= 0 = unlimited for that class. Mine
   /// defaults to 1 because every Mine request shares one step-5 pool anyway.
   int mine_slots = 1;
-  int match_slots = 4;
   int stream_slots = 4;
   /// Bound on requests *waiting* for a slot, across all classes. A request
   /// arriving with the queue full is shed immediately.

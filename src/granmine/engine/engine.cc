@@ -214,70 +214,6 @@ Result<MineResponse> Engine::Mine(const MineRequest& request) {
   return response;
 }
 
-Result<MatchResponse> Engine::Match(const MatchRequest& request) {
-  if (request.tag == nullptr || request.symbols == nullptr) {
-    return Status::Invalid("MatchRequest needs a tag and a symbol map");
-  }
-  const std::uint64_t request_id = MintRequestId();
-  obs::RequestScope request_scope(request_id);
-  GM_TRACE_SPAN("engine_match");
-  GM_RETURN_NOT_OK(Freeze());
-  MatchOptions options = request.options;
-  std::unique_ptr<ResourceGovernor> owned_governor;
-  InflightGuard inflight(this, request_id, RequestClass::kMatch);
-  if (options.governor == nullptr && request.governor != nullptr) {
-    options.governor = request.governor;
-  }
-  // As in Mine: admit before creating the owned governor so queueing does
-  // not consume the request's deadline.
-  const GovernorLimits resolved_limits = request.limits.value_or(
-      options.governor != nullptr ? GovernorLimits{} : options_.limits);
-  AdmissionController::Ticket ticket;
-  if (admission_ != nullptr) {
-    Result<AdmissionController::Ticket> admitted = [&] {
-      GM_TRACE_SPAN("admission_wait");
-      return admission_->Admit(RequestClass::kMatch, options.governor,
-                               resolved_limits.deadline_ms);
-    }();
-    if (!admitted.ok()) {
-      if (options_.admission.degrade_when_saturated &&
-          admitted.status().code() != StatusCode::kCancelled) {
-        // Degraded Match is the three-valued escape hatch: we refuse to
-        // guess, so the verdict is kUnknown — never a wrong yes/no.
-        admission_->NoteDegraded();
-        GM_LOG(::granmine::obs::LogLevel::kWarn, "engine",
-               "match request degraded to an unknown verdict");
-        DumpFlightRecorder("degraded", "degraded", request_id);
-        MatchResponse degraded;
-        degraded.outcome = MatchOutcome::kUnknown;
-        degraded.stats.stopped = StopCause::kDegraded;
-        return degraded;
-      }
-      DumpFlightRecorder("admission-shed",
-                         StopCauseToString(admission_->first_shed_cause()),
-                         request_id);
-      return admitted.status();
-    }
-    ticket = std::move(admitted).value();
-  }
-  if (options.governor == nullptr) {
-    owned_governor = MakeGovernor(request.limits);
-    options.governor = owned_governor.get();
-  }
-  SetRequestGovernor(request_id, options.governor);
-  TagMatcher matcher(request.tag);
-  MatchResponse response;
-  response.outcome = matcher.Run(request.events, *request.symbols, options,
-                                 &response.stats);
-  response.governor_steps =
-      options.governor != nullptr ? options.governor->steps() : 0;
-  if (response.stats.stopped != StopCause::kNone) {
-    DumpFlightRecorder("governor-trip",
-                       StopCauseToString(response.stats.stopped), request_id);
-  }
-  return response;
-}
-
 Result<OnlineMinerOptions> Engine::AdmitStream(const StreamRequest& request,
                                                std::uint64_t request_id) {
   if (request.problem == nullptr) {
@@ -461,7 +397,6 @@ EngineStatusz Engine::Statusz() const {
       int slots;
     } classes[] = {
         {RequestClass::kMine, admission_options.mine_slots},
-        {RequestClass::kMatch, admission_options.match_slots},
         {RequestClass::kStream, admission_options.stream_slots},
     };
     for (const auto& entry : classes) {

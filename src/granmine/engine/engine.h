@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "granmine/obs/trace.h"
 #include "granmine/sequence/sequence.h"
 #include "granmine/stream/online_miner.h"
-#include "granmine/tag/matcher.h"
 
 namespace granmine {
 
@@ -83,24 +81,6 @@ struct MineResponse {
   double elapsed_ms = 0;
 };
 
-/// One TAG evaluation request over an in-memory event span. `tag`, `events`
-/// and `symbols` must stay alive for the duration of the call.
-struct MatchRequest {
-  const Tag* tag = nullptr;
-  std::span<const Event> events;
-  const SymbolMap* symbols = nullptr;
-  /// Per-request matcher knobs; `governor` is resolved by the engine.
-  MatchOptions options;
-  std::optional<GovernorLimits> limits;
-  const ResourceGovernor* governor = nullptr;
-};
-
-struct MatchResponse {
-  MatchOutcome outcome = MatchOutcome::kRejected;
-  MatchStats stats;
-  std::uint64_t governor_steps = 0;
-};
-
 /// What `Engine::SaveSnapshot` writes beyond the frozen system image.
 struct SnapshotSaveOptions {
   /// When set, the sequence is stored as a kEventSequence section so a
@@ -122,9 +102,10 @@ struct StreamRequest {
 
 /// The serving facade over one frozen granularity family: owns the
 /// `GranularitySystem`, the shared step-5 thread pool, the governor factory,
-/// and the handles to the process obs registries, and exposes the three
-/// entry points (`Mine`, `Match`, `OpenStream`) the CLI, batch and stream
-/// callers previously wired by hand.
+/// and the handles to the process obs registries, and exposes the entry
+/// points (`Mine`, `OpenStream`/`RestoreStream`) the CLI, batch and stream
+/// callers previously wired by hand. One TAG evaluation needs no engine:
+/// the library API for it is `TagMatcher` (tag/matcher.h).
 ///
 /// Lifecycle (docs/architecture.md): *build* — create the engine, define
 /// further granularities through `system()` (e.g. structure files with
@@ -136,9 +117,8 @@ struct StreamRequest {
 ///
 /// Thread safety: `Mine` is safe from any thread. Concurrent requests share
 /// the one pool: a scan that finds it busy runs inline on its own thread
-/// (Executor). `Match` is safe from any thread once frozen; each
-/// `OpenStream` session is single-threaded externally, like `OnlineMiner`
-/// itself, and its snapshots borrow the same pool.
+/// (Executor). Each `OpenStream` session is single-threaded externally,
+/// like `OnlineMiner` itself, and its snapshots borrow the same pool.
 class Engine {
  public:
   /// Takes ownership of `system` (must be non-null). Flips the obs runtime
@@ -171,9 +151,6 @@ class Engine {
 
   /// Batch §5 discovery on the engine's pool. Freezes on first use.
   Result<MineResponse> Mine(const MineRequest& request);
-
-  /// One TAG evaluation. Freezes on first use.
-  Result<MatchResponse> Match(const MatchRequest& request);
 
   /// Opens a streaming session resolved against engine defaults. Freezes on
   /// first use. The session borrows the engine's system and, for snapshot

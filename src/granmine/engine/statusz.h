@@ -21,7 +21,7 @@ namespace granmine {
 /// One in-flight request (admitted, not yet released).
 struct StatuszRequest {
   std::uint64_t id = 0;
-  std::string cls;  // "mine" / "match" / "stream"
+  std::string cls;  // "mine" / "stream"
   double elapsed_ms = 0;
   bool governed = false;
   /// Remaining wall budget in ms; -1 = no deadline.

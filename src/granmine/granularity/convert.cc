@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <numeric>
-#include <shared_mutex>
 #include <vector>
 
 #include "granmine/common/check.h"
@@ -157,7 +156,7 @@ void SupportCoverageCache::Seal(
     GM_CHECK(family[t] != nullptr);
     GM_CHECK(family[t]->id() == static_cast<GranularityId>(t));
     for (std::size_t s = 0; s < n; ++s) {
-      sealed_matrix_[t * n + s] = Covers(*family[t], *family[s]);
+      sealed_matrix_[t * n + s] = SupportCovers(*family[t], *family[s]);
     }
   }
   sealed_ = true;
@@ -208,21 +207,16 @@ bool SupportCoverageCache::Covers(const Granularity& target,
                             static_cast<std::size_t>(sid)];
     }
   }
-  const Key key = std::make_pair(&target, &source);
-  Shard& shard = ShardFor(key);
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    if (auto it = shard.cache.find(key); it != shard.cache.end()) {
-      GM_COUNTER_ADD("granmine_coverage_lookups_total", "result=\"hit\"", 1);
-      return it->second;
-    }
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  const auto key = std::make_pair(&target, &source);
+  if (auto it = memo_.find(key); it != memo_.end()) {
+    GM_COUNTER_ADD("granmine_coverage_lookups_total", "result=\"hit\"", 1);
+    return it->second;
   }
+  // Miss: compute under the lock, so each answer is computed once.
   GM_COUNTER_ADD("granmine_coverage_lookups_total", "result=\"miss\"", 1);
-  // SupportCovers is deterministic, so computing outside the lock at worst
-  // duplicates work; emplace keeps the first answer (they are all equal).
-  bool result = SupportCovers(target, source);
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  shard.cache.emplace(key, result);
+  const bool result = SupportCovers(target, source);
+  memo_.emplace(key, result);
   return result;
 }
 

@@ -1,11 +1,10 @@
 #ifndef GRANMINE_GRANULARITY_CONVERT_H_
 #define GRANMINE_GRANULARITY_CONVERT_H_
 
-#include <cstddef>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,24 +34,24 @@ bool SupportCovers(const Granularity& target, const Granularity& source,
 /// granularities it has seen.
 ///
 /// Identity has two phases, mirroring `GranularityTables`. While building,
-/// pairs are keyed by address in hashed shards; after `Seal()` (driven by
-/// `GranularitySystem::Freeze()`) every (target, source) answer for the
-/// family lives in a flat id×id matrix and a lookup is two bounds-checked
-/// array reads — no hashing, no lock. Pairs involving a granularity outside
-/// the sealed family fall back to the sharded memo.
+/// answers are memoized in one map keyed by the (target, source) addresses;
+/// after `Seal()` (driven by `GranularitySystem::Freeze()`) every
+/// (target, source) answer for the family lives in a flat id×id matrix and a
+/// lookup is two bounds-checked array reads — no lookup in the memo, no
+/// lock. Pairs involving a granularity outside the sealed family fall back
+/// to the memo.
 ///
-/// Thread safety: `Covers` may be called concurrently. Pre-seal (and on the
-/// fallback path) the memo is split into address-hashed shards, each behind
-/// a `std::shared_mutex`; hits take only the shared lock, and misses compute
-/// `SupportCovers` (a pure function) outside any lock, so a race at worst
-/// recomputes the same value. Post-seal the matrix is immutable, so sealed
-/// hits are wait-free.
+/// Thread safety: `Covers` may be called concurrently. The memo sits behind
+/// one `std::mutex`, and a miss computes `SupportCovers` under it, so each
+/// answer is computed once and then shared. Post-seal the matrix is
+/// immutable, so sealed hits take no lock.
 class SupportCoverageCache {
  public:
   bool Covers(const Granularity& target, const Granularity& source);
 
-  /// Freezes coverage for `family` (listed in id order): precomputes
-  /// SupportCovers for every ordered pair into a dense id×id matrix.
+  /// Freezes coverage for `family` (listed in id order): computes
+  /// SupportCovers for every ordered pair into a dense id×id matrix,
+  /// bypassing the memo (so a freeze counts no lookups).
   /// Idempotent; must not race with `Covers` (freeze on the build thread,
   /// then share).
   void Seal(const std::vector<const Granularity*>& family);
@@ -72,28 +71,9 @@ class SupportCoverageCache {
                         std::vector<bool> matrix);
 
  private:
-  using Key = std::pair<const Granularity*, const Granularity*>;
-
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      std::size_t h = std::hash<const void*>()(key.first);
-      return h ^ (std::hash<const void*>()(key.second) +
-                  std::size_t{0x9e3779b97f4a7c15ULL} + (h << 6) + (h >> 2));
-    }
-  };
-
-  static constexpr std::size_t kShards = 8;
-
-  struct Shard {
-    std::shared_mutex mutex;
-    std::unordered_map<Key, bool, KeyHash> cache;
-  };
-
-  Shard& ShardFor(const Key& key) {
-    return shards_[KeyHash()(key) % kShards];
-  }
-
-  Shard shards_[kShards];
+  std::mutex memo_mutex_;
+  /// Answers by (target, source); guarded by memo_mutex_.
+  std::map<std::pair<const Granularity*, const Granularity*>, bool> memo_;
 
   /// Immutable after Seal. `sealed_matrix_[target_id * n + source_id]`
   /// holds the answer; `sealed_family_` doubles as the id → address guard

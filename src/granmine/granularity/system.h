@@ -46,7 +46,7 @@ struct FrozenSystemImage {
 /// become bounds-checked array reads, no hashing, no locks) and makes the
 /// family immutable: any later `Add*` returns nullptr and records a Status
 /// retrievable via `last_add_error()`. Freezing is optional; an unfrozen
-/// system behaves exactly as before on the sharded-memo path.
+/// system answers the same values from the locked memos.
 ///
 /// Thread safety: the caches returned by `tables()` and `coverage()` are
 /// internally synchronized, so a fully built system may be shared by any

@@ -169,49 +169,15 @@ std::optional<std::optional<std::int64_t>> GranularityTables::SealedValue(
   return std::optional<std::optional<std::int64_t>>(v);
 }
 
-GranularityTables::Entry& GranularityTables::EntryFor(const Granularity& g) {
-  {
-    std::shared_lock<std::shared_mutex> lock(entries_mutex_);
-    if (auto it = entries_.find(&g); it != entries_.end()) {
-      return *it->second;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(entries_mutex_);
-  std::unique_ptr<Entry>& slot = entries_[&g];
-  if (slot == nullptr) slot = std::make_unique<Entry>();
-  return *slot;
-}
-
 std::optional<std::int64_t> GranularityTables::ScannedValue(
     Table table, const Granularity& g, std::int64_t k) {
-  Entry& entry = EntryFor(g);
-  auto memo_of = [&](Entry& e) -> std::unordered_map<std::int64_t,
-                                                     std::int64_t>& {
-    switch (table) {
-      case Table::kMinSize:
-        return e.minsize;
-      case Table::kMaxSize:
-        return e.maxsize;
-      default:
-        return e.mingap;
-    }
-  };
-  {
-    std::shared_lock<std::shared_mutex> lock(entry.mutex);
-    const auto& memo = memo_of(entry);
-    if (auto it = memo.find(k); it != memo.end()) {
-      GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"hit\"", 1);
-      return it->second;
-    }
-  }
-  // Miss: scan under the exclusive lock, so each value is scanned once.
-  // Re-check first — another thread may have computed k while we waited.
-  std::unique_lock<std::shared_mutex> lock(entry.mutex);
-  auto& memo = memo_of(entry);
-  if (auto it = memo.find(k); it != memo.end()) {
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  const auto key = std::make_tuple(&g, table, k);
+  if (auto it = memo_.find(key); it != memo_.end()) {
     GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"hit\"", 1);
     return it->second;
   }
+  // Miss: scan under the lock, so each value is scanned once.
   GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"miss\"", 1);
   const bool min_gap = table == Table::kMinGap;
   const std::int64_t starts = ScanStarts(g);
@@ -219,7 +185,7 @@ std::optional<std::int64_t> GranularityTables::ScannedValue(
   const std::int64_t best =
       Fold(min_gap, table == Table::kMaxSize, starts, k,
            [&g](Tick z) { return *g.TickHull(z); });
-  memo.emplace(k, best);
+  memo_.emplace(key, best);
   return best;
 }
 

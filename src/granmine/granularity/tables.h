@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <map>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "granmine/common/status.h"
@@ -29,20 +29,19 @@ namespace granmine {
 /// tick `kScanTickCap` (or past `LastFittingTick`); callers treat that
 /// conservatively (no bound derived).
 ///
-/// Identity has two phases. While *building*, granularities are keyed by
-/// address in a sharded hashed directory; after `Seal()` (driven by
+/// Identity has two phases. While *building*, values are memoized in one
+/// map keyed by (granularity address, table, k); after `Seal()` (driven by
 /// `GranularitySystem::Freeze()`) the family's values for k up to
 /// `kSealedKCap` live in flat per-`GranularityId` arrays and a lookup is a
-/// bounds-checked array read — no hashing, no lock. A table instance must
-/// not outlive the granularities it has been queried with.
+/// bounds-checked array read — no lookup in the memo, no lock. The memo
+/// stays as the fallback for k beyond `kSealedKCap` and for granularities
+/// outside the sealed family. A table instance must not outlive the
+/// granularities it has been queried with.
 ///
 /// Thread safety: all queries may be issued concurrently from any number of
-/// threads. Pre-seal (and for k beyond `kSealedKCap`, or granularities
-/// outside the sealed family), entries are sharded per granularity behind a
-/// `std::shared_mutex` each (memo hits take only the shared lock; a miss
-/// computes under the exclusive lock, so each value is scanned once and then
-/// shared), and the shard directory itself is guarded the same way. Post-seal
-/// the dense arrays are immutable, so sealed hits are wait-free. See
+/// threads. The memo sits behind one `std::mutex`, and a miss is scanned
+/// under it, so each value is computed once and then shared. Post-seal the
+/// dense arrays are immutable, so sealed hits take no lock. See
 /// docs/concurrency.md and docs/architecture.md.
 class GranularityTables {
  public:
@@ -58,9 +57,9 @@ class GranularityTables {
   /// Freezes the table set for `family` (granularities listed in id order,
   /// `family[i]->id() == i`): precomputes minsize/maxsize/mingap for every
   /// k in [1, kSealedKCap] into flat id-indexed arrays. Afterwards those
-  /// lookups are plain array reads; anything else falls back to the sharded
-  /// memo. Idempotent; must not race with queries (freeze on the build
-  /// thread, then share).
+  /// lookups are plain array reads; anything else falls back to the memo.
+  /// Idempotent; must not race with queries (freeze on the build thread,
+  /// then share).
   void Seal(const std::vector<const Granularity*>& family);
 
   bool sealed() const { return sealed_; }
@@ -116,15 +115,7 @@ class GranularityTables {
                                                          std::int64_t x);
 
  private:
-  /// One per-granularity shard: its own lock plus the memoized tables.
-  struct Entry {
-    std::shared_mutex mutex;
-    std::unordered_map<std::int64_t, std::int64_t> minsize;
-    std::unordered_map<std::int64_t, std::int64_t> maxsize;
-    std::unordered_map<std::int64_t, std::int64_t> mingap;
-  };
-
-  /// The table function a scan computes; selects memo map and fold.
+  /// The table function a scan computes; selects the sealed row and fold.
   enum class Table { kMinSize, kMaxSize, kMinGap };
 
   /// One frozen granularity's precomputed tables: `minsize[k]` etc. for k in
@@ -138,7 +129,6 @@ class GranularityTables {
     std::vector<std::int64_t> mingap;
   };
 
-  Entry& EntryFor(const Granularity& g);
   /// The granularity's closed-form value for k >= 1, if it has one.
   static std::optional<std::int64_t> Analytic(Table table,
                                               const Granularity& g,
@@ -147,7 +137,7 @@ class GranularityTables {
   std::optional<std::int64_t> Value(Table table, const Granularity& g,
                                     std::int64_t k);
   /// Memoized lookup/compute of one table value for k >= 1 (analytic paths
-  /// already exhausted by the caller). Locks the entry internally.
+  /// already exhausted by the caller). Takes `memo_mutex_`.
   std::optional<std::int64_t> ScannedValue(Table table, const Granularity& g,
                                            std::int64_t k);
 
@@ -158,10 +148,10 @@ class GranularityTables {
   std::optional<std::optional<std::int64_t>> SealedValue(
       Table table, const Granularity& g, std::int64_t k) const;
 
-  std::shared_mutex entries_mutex_;
-  // unique_ptr values keep Entry addresses stable and the map movable even
-  // though Entry itself (owning a mutex) is not.
-  std::unordered_map<const Granularity*, std::unique_ptr<Entry>> entries_;
+  std::mutex memo_mutex_;
+  /// Scanned values by (granularity, table, k); guarded by memo_mutex_.
+  std::map<std::tuple<const Granularity*, Table, std::int64_t>, std::int64_t>
+      memo_;
   /// Immutable after Seal; indexed by GranularityId.
   std::vector<SealedEntry> sealed_entries_;
   bool sealed_ = false;

@@ -20,6 +20,8 @@
 #include "granmine/granularity/convert.h"
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
+#include "granmine/obs/metrics.h"
+#include "granmine/obs/obs.h"
 #include "granmine/paper/figures.h"
 #include "granmine/sequence/generators.h"
 
@@ -249,8 +251,8 @@ TEST(ConcurrentTablesTest, HammeredQueriesMatchTheSerialOracle) {
 }
 
 // Same hammering, but against a *frozen* system: every query lands in the
-// sealed id-indexed arrays, so TSAN certifies the wait-free read path (the
-// hashed-memo test above certifies the sharded-mutex path).
+// sealed id-indexed arrays, so TSAN certifies the lock-free read path (the
+// test above certifies the locked memo).
 TEST(ConcurrentTablesTest, FrozenSystemHammeredQueriesMatchTheSerialOracle) {
   auto oracle_system = GranularitySystem::Gregorian();
   std::map<std::tuple<std::string, std::int64_t, int>,
@@ -325,6 +327,66 @@ TEST(ConcurrentTablesTest, InverseQueriesAreSafeUnderContention) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+#if GRANMINE_OBS_ENABLED
+// One lookup counter's `result="miss"` total; 0 before its first increment.
+std::uint64_t Misses(const char* counter) {
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  const obs::MetricValue* metric = snapshot.Find(counter, "result=\"miss\"");
+  return metric == nullptr ? 0 : metric->value;
+}
+#endif  // GRANMINE_OBS_ENABLED
+
+// Each memoized value is scanned exactly once under contention: a miss is
+// computed under the memo lock, so threads racing on a cold system count
+// one miss per distinct (granularity, table, k) the memo serves. Uniform
+// types answer in closed form and never reach the memo.
+TEST(ConcurrentTablesTest, EachMemoizedValueIsScannedOnce) {
+#if !GRANMINE_OBS_ENABLED
+  GTEST_SKIP() << "lookup counters are compiled out";
+#else
+  auto system = GranularitySystem::Gregorian();
+  std::uint64_t distinct = 0;
+  for (const TableQuery& q : kTableQueries) {
+    const Granularity* g = system->Find(q.granularity);
+    ASSERT_NE(g, nullptr) << q.granularity;
+    distinct += !g->AnalyticMinSize(q.k).has_value();
+    distinct += !g->AnalyticMaxSize(q.k).has_value();
+    distinct += !g->AnalyticMinGap(q.k).has_value();
+  }
+  ASSERT_GT(distinct, 0u);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const bool was_enabled = metrics.enabled();
+  metrics.set_enabled(true);
+  const std::uint64_t before = Misses("granmine_tables_lookups_total");
+  // Released together and walking the queries in the same order, the
+  // threads contend for every first miss.
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      GranularityTables& tables = system->tables();
+      for (int round = 0; round < 10; ++round) {
+        for (const TableQuery& q : kTableQueries) {
+          const Granularity* g = system->Find(q.granularity);
+          // Every query here has a value within the scan caps, so each
+          // miss is memoized (a capped scan would count again).
+          EXPECT_TRUE(tables.MinSize(*g, q.k).has_value());
+          EXPECT_TRUE(tables.MaxSize(*g, q.k).has_value());
+          EXPECT_TRUE(tables.MinGap(*g, q.k).has_value());
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  const std::uint64_t added = Misses("granmine_tables_lookups_total") - before;
+  metrics.set_enabled(was_enabled);
+  EXPECT_EQ(added, distinct);
+#endif
+}
+
 TEST(ConcurrentCoverageTest, HammeredCoversMatchesTheSerialFunction) {
   auto system = GranularitySystem::Gregorian();
   // Mixed full-support and gapped types; the group-by types (b-week,
@@ -351,7 +413,7 @@ TEST(ConcurrentCoverageTest, HammeredCoversMatchesTheSerialFunction) {
           for (const char* source : names) {
             const Granularity* tg = system->Find(target);
             const Granularity* sg = system->Find(source);
-            // Stagger directions per thread so shards see mixed traffic.
+            // Stagger directions per thread so the memo sees mixed traffic.
             bool got = (t % 2 == 0) ? coverage.Covers(*tg, *sg)
                                     : coverage.Covers(*sg, *tg);
             bool want = (t % 2 == 0) ? oracle[{tg, sg}] : oracle[{sg, tg}];
@@ -365,6 +427,47 @@ TEST(ConcurrentCoverageTest, HammeredCoversMatchesTheSerialFunction) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Each memoized coverage answer is computed exactly once under contention:
+// SupportCovers runs under the memo lock, so threads racing over every
+// ordered pair of a cold system count one miss per pair.
+TEST(ConcurrentCoverageTest, EachMemoizedPairIsComputedOnce) {
+#if !GRANMINE_OBS_ENABLED
+  GTEST_SKIP() << "lookup counters are compiled out";
+#else
+  auto system = GranularitySystem::Gregorian();
+  // The types of the test above.
+  const char* names[] = {"second", "hour", "day",   "week",       "month",
+                         "year",   "quarter", "b-day", "weekend-day"};
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const bool was_enabled = metrics.enabled();
+  metrics.set_enabled(true);
+  const std::uint64_t before = Misses("granmine_coverage_lookups_total");
+  // Released together and walking the pairs in the same order, the threads
+  // contend for every first miss.
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      SupportCoverageCache& coverage = system->coverage();
+      for (int round = 0; round < 5; ++round) {
+        for (const char* target : names) {
+          for (const char* source : names) {
+            coverage.Covers(*system->Find(target), *system->Find(source));
+          }
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  const std::uint64_t added =
+      Misses("granmine_coverage_lookups_total") - before;
+  metrics.set_enabled(was_enabled);
+  EXPECT_EQ(added, std::size(names) * std::size(names));
+#endif
 }
 
 TEST(EventSequenceTest, AddKeepsSortedOrderEagerly) {

@@ -1,8 +1,8 @@
 // The Engine facade: one object owning the frozen system, the shared
 // executor, the governor factory and the obs handles. The key invariant is
-// that routing through the facade changes no answers — Mine/Match/OpenStream
-// are byte-identical to hand-wired Miner/TagMatcher/OnlineMiner calls on an
-// unfrozen twin system.
+// that routing through the facade changes no answers — Mine/OpenStream are
+// byte-identical to hand-wired Miner/OnlineMiner calls on an unfrozen twin
+// system.
 
 #include <atomic>
 #include <cstdio>
@@ -18,8 +18,6 @@
 #include "granmine/mining/miner.h"
 #include "granmine/paper/figures.h"
 #include "granmine/sequence/generators.h"
-#include "granmine/tag/builder.h"
-#include "granmine/tag/matcher.h"
 
 namespace granmine {
 namespace {
@@ -109,40 +107,6 @@ TEST(EngineTest, MineMatchesHandWiredMiner) {
   }
 }
 
-TEST(EngineTest, MatchAgreesWithDirectMatcher) {
-  auto engine = Engine::CreateGregorian();
-  ASSERT_TRUE(engine.ok());
-  Workload workload = MakeWorkload(*(*engine)->system(), 7);
-  auto structure = BuildFigure1a(*(*engine)->system());
-  ASSERT_TRUE(structure.ok());
-  auto built = BuildTagForStructure(*structure);
-  ASSERT_TRUE(built.ok());
-
-  std::vector<EventTypeId> phi = {
-      *workload.registry.Find("IBM-rise"),
-      *workload.registry.Find("IBM-earnings-report"),
-      *workload.registry.Find("HP-rise"),
-      *workload.registry.Find("IBM-fall")};
-  SymbolMap symbols =
-      SymbolMap::FromAssignment(phi, workload.registry.size());
-  TagMatcher matcher(&built->tag);
-
-  for (std::size_t at : workload.sequence.OccurrencesOf(phi[0])) {
-    MatchRequest request;
-    request.tag = &built->tag;
-    request.events = workload.sequence.SuffixFrom(at);
-    request.symbols = &symbols;
-    request.options.anchored = true;
-    auto response = (*engine)->Match(request);
-    ASSERT_TRUE(response.ok()) << response.status();
-    MatchOptions direct_options;
-    direct_options.anchored = true;
-    EXPECT_EQ(response->outcome == MatchOutcome::kAccepted,
-              matcher.Accepts(workload.sequence.SuffixFrom(at), symbols,
-                              direct_options));
-  }
-}
-
 TEST(EngineTest, OpenStreamSnapshotMatchesBatchMine) {
   auto engine = Engine::CreateGregorian();
   ASSERT_TRUE(engine.ok());
@@ -211,8 +175,6 @@ TEST(EngineTest, MineRequestValidation) {
   ASSERT_TRUE(engine.ok());
   MineRequest request;  // no problem, no sequence
   EXPECT_FALSE((*engine)->Mine(request).ok());
-  MatchRequest match;  // no tag, no symbols
-  EXPECT_FALSE((*engine)->Match(match).ok());
   StreamRequest stream;  // no problem
   EXPECT_FALSE((*engine)->OpenStream(stream).ok());
 }

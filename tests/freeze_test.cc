@@ -1,5 +1,5 @@
 // Build→freeze→serve lifecycle of GranularitySystem: the dense id-indexed
-// caches must answer byte-identically to the pre-freeze hashed path, Add*
+// caches must answer byte-identically to the pre-freeze memo path, Add*
 // after Freeze() must fail with a clear Status, and a frozen system must be
 // shareable across threads with no synchronization beyond the seal itself.
 
@@ -14,6 +14,8 @@
 #include "granmine/granularity/system.h"
 #include "granmine/granularity/tables.h"
 #include "granmine/io/text_format.h"
+#include "granmine/obs/metrics.h"
+#include "granmine/obs/obs.h"
 
 namespace granmine {
 namespace {
@@ -88,7 +90,7 @@ TEST(FreezeEquivalenceTest, CoverageMatchesHashedPathAcrossAllPairs) {
   }
 }
 
-// Warm the hashed memo first, then freeze: the precomputed arrays must agree
+// Warm the memo first, then freeze: the precomputed arrays must agree
 // with what the memo already served (seal-after-use, not just seal-fresh).
 TEST(FreezeEquivalenceTest, SealAfterWarmingMemoIsConsistent) {
   auto system = GranularitySystem::GregorianDays(TestHolidays());
@@ -107,8 +109,8 @@ TEST(FreezeEquivalenceTest, SealAfterWarmingMemoIsConsistent) {
 }
 
 // A granularity from a *different* system must not alias a sealed slot even
-// when its dense id collides; it falls back to the hashed memo and still
-// answers correctly.
+// when its dense id collides; it falls back to the memo and still answers
+// correctly.
 TEST(FreezeEquivalenceTest, ForeignGranularityFallsBackToMemo) {
   auto frozen = GranularitySystem::GregorianDays();
   auto other = GranularitySystem::GregorianDays();
@@ -124,6 +126,37 @@ TEST(FreezeEquivalenceTest, ForeignGranularityFallsBackToMemo) {
   }
   EXPECT_EQ(frozen->coverage().Covers(*local, *foreign),
             frozen->coverage().Covers(*local, *local));
+}
+
+// The seal computes every sealed value straight from the pure functions: a
+// freeze neither reads nor fills the memos, so with metrics on it counts no
+// table or coverage lookup of any result.
+TEST(FreezeTest, FreezeCountsNoMemoLookups) {
+#if !GRANMINE_OBS_ENABLED
+  GTEST_SKIP() << "lookup counters are compiled out";
+#else
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto count = [&registry](const char* name, const char* labels) {
+    const obs::MetricsSnapshot snapshot = registry.Snapshot();
+    const obs::MetricValue* metric = snapshot.Find(name, labels);
+    return metric == nullptr ? std::uint64_t{0} : metric->value;
+  };
+  const auto totals = [&count] {
+    return std::vector<std::uint64_t>{
+        count("granmine_coverage_lookups_total", "result=\"miss\""),
+        count("granmine_coverage_lookups_total", "result=\"hit\""),
+        count("granmine_tables_lookups_total", "result=\"miss\""),
+        count("granmine_tables_lookups_total", "result=\"hit\"")};
+  };
+  auto system = GranularitySystem::Gregorian(TestHolidays());
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const std::vector<std::uint64_t> before = totals();
+  ASSERT_TRUE(system->Freeze().ok());
+  const std::vector<std::uint64_t> after = totals();
+  registry.set_enabled(was_enabled);
+  EXPECT_EQ(after, before) << "coverage miss/hit, tables miss/hit";
+#endif
 }
 
 TEST(FreezeTest, IdsAreDenseRegistrationOrder) {

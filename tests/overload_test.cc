@@ -512,10 +512,10 @@ TEST(AdmissionTest, QueueFullShedIsRetryableAndSticky) {
   EXPECT_EQ(controller.shed_total(), 1u);
   EXPECT_EQ(controller.first_shed_cause(), StopCause::kStepBudget);
 
-  // Other classes have their own slots: match admits while mine is full.
-  auto match = controller.Admit(RequestClass::kMatch, nullptr, 0);
-  ASSERT_TRUE(match.ok());
-  EXPECT_TRUE(match->admitted());
+  // Other classes have their own slots: stream admits while mine is full.
+  auto stream = controller.Admit(RequestClass::kStream, nullptr, 0);
+  ASSERT_TRUE(stream.ok());
+  EXPECT_TRUE(stream->admitted());
 
   // Releasing the slot re-opens the class; the first cause stays sticky.
   *first = AdmissionController::Ticket{};
@@ -566,9 +566,9 @@ TEST(AdmissionTest, InjectedQueueFullFaultShedsDeterministically) {
   FaultInjector full(GovernorScope::kGeneral, /*trip_index=*/1,
                      /*cancel_globally=*/false, FaultKind::kQueueFull);
   controller.InstallFaultInjector(&full);
-  auto first = controller.Admit(RequestClass::kMatch, nullptr, 0);
+  auto first = controller.Admit(RequestClass::kStream, nullptr, 0);
   ASSERT_TRUE(first.ok());
-  auto second = controller.Admit(RequestClass::kMatch, nullptr, 0);
+  auto second = controller.Admit(RequestClass::kStream, nullptr, 0);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(second.status().message().find("injected"), std::string::npos);
@@ -625,8 +625,6 @@ struct EngineFixture {
   EventStructure structure;
   EventSequence seq;
   DiscoveryProblem problem;
-  TagBuildResult skeleton;
-  SymbolMap symbols{SymbolMap::FromAssignment({0, 1, 2}, 6)};
 };
 
 EngineFixture MakeEngineFixture(EngineOptions options) {
@@ -651,9 +649,6 @@ EngineFixture MakeEngineFixture(EngineOptions options) {
   fx.problem.structure = &fx.structure;
   fx.problem.reference_type = 0;
   fx.problem.min_confidence = 0.05;
-  auto built = BuildTagForStructure(fx.structure);
-  EXPECT_TRUE(built.ok());
-  fx.skeleton = *std::move(built);
   return fx;
 }
 
@@ -708,17 +703,6 @@ TEST(EngineAdmissionTest, DegradationLadderServesScreeningOnly) {
                 degraded->report.completeness.not_evaluated,
             degraded->report.candidates_after_screening);
   EXPECT_EQ(fx.engine->admission()->degraded_total(), 1u);
-
-  // Match demotes to an honest unknown — never a guessed yes/no.
-  MatchRequest match;
-  match.tag = &fx.skeleton.tag;
-  match.events = fx.seq.View();
-  match.symbols = &fx.symbols;
-  auto unknown = fx.engine->Match(match);
-  ASSERT_TRUE(unknown.ok()) << unknown.status();
-  EXPECT_EQ(unknown->outcome, MatchOutcome::kUnknown);
-  EXPECT_EQ(unknown->stats.stopped, StopCause::kDegraded);
-  EXPECT_EQ(fx.engine->admission()->degraded_total(), 2u);
 }
 
 TEST(EngineAdmissionTest, MemoryBudgetThreadsThroughTheEngine) {
