@@ -240,99 +240,68 @@ std::optional<std::int64_t> GranularityTables::MinGap(const Granularity& g,
   return Value(Table::kMinGap, g, k);
 }
 
-std::optional<std::int64_t> GranularityTables::LeastTicksCovering(
-    const Granularity& g, std::int64_t x) {
-  GM_CHECK(x >= 1);
-  // minsize is strictly increasing in s and minsize(s) >= s, so the answer
-  // (if representable) is at most x; tighten via the periodic structure.
+namespace {
+
+// Least s >= lo with value(s) >= bar, for a value nondecreasing in s; nullopt
+// when a probe is undefined. The search starts from the smaller of bar and
+// the ticks in two periods past x instants, which the callers' tables bound
+// the answer by, and doubles only defensively.
+template <typename Value>
+std::optional<std::int64_t> LeastTicksReaching(const Granularity& g,
+                                               std::int64_t x,
+                                               std::int64_t bar,
+                                               std::int64_t lo, Value value) {
   const Granularity::Periodicity p = g.periodicity();
   std::int64_t periods = FloorDiv(x, p.period) + 2;
   std::int64_t by_period = periods > kInfinity / p.ticks_per_period
                                ? kInfinity
                                : periods * p.ticks_per_period;
-  std::int64_t hi = std::max<std::int64_t>(std::min(x, by_period), 1);
-  std::optional<std::int64_t> at_hi = MinSize(g, hi);
+  std::int64_t hi = std::max<std::int64_t>(std::min(bar, by_period), 1);
+  std::optional<std::int64_t> at_hi = value(hi);
   if (!at_hi.has_value()) return std::nullopt;
-  while (*at_hi < x) {  // defensive; should not trigger
+  while (*at_hi < bar) {  // defensive; should not trigger
     hi *= 2;
-    at_hi = MinSize(g, hi);
+    at_hi = value(hi);
     if (!at_hi.has_value()) return std::nullopt;
   }
-  std::int64_t lo = 1;
   while (lo < hi) {
     std::int64_t mid = lo + (hi - lo) / 2;
-    std::optional<std::int64_t> v = MinSize(g, mid);
+    std::optional<std::int64_t> v = value(mid);
     if (!v.has_value()) return std::nullopt;
-    if (*v >= x) {
+    if (*v >= bar) {
       hi = mid;
     } else {
       lo = mid + 1;
     }
   }
   return lo;
+}
+
+}  // namespace
+
+std::optional<std::int64_t> GranularityTables::LeastTicksCovering(
+    const Granularity& g, std::int64_t x) {
+  GM_CHECK(x >= 1);
+  // minsize is strictly increasing in s and minsize(s) >= s, so the answer
+  // (if representable) is at most x.
+  return LeastTicksReaching(g, x, x, 1,
+                            [&](std::int64_t s) { return MinSize(g, s); });
 }
 
 std::optional<std::int64_t> GranularityTables::LeastTicksExceeding(
     const Granularity& g, std::int64_t x) {
   if (x < 0) return 0;
   // maxsize is strictly increasing with maxsize(r) >= r; the answer is at
-  // most x + 1; tighten via periodicity.
-  const Granularity::Periodicity p = g.periodicity();
-  std::int64_t periods = FloorDiv(x, p.period) + 2;
-  std::int64_t by_period = periods > kInfinity / p.ticks_per_period
-                               ? kInfinity
-                               : periods * p.ticks_per_period;
-  std::int64_t hi = std::max<std::int64_t>(std::min(x + 1, by_period), 1);
-  std::optional<std::int64_t> at_hi = MaxSize(g, hi);
-  if (!at_hi.has_value()) return std::nullopt;
-  while (*at_hi <= x) {  // defensive; should not trigger
-    hi *= 2;
-    at_hi = MaxSize(g, hi);
-    if (!at_hi.has_value()) return std::nullopt;
-  }
-  std::int64_t lo = 0;
-  while (lo < hi) {
-    std::int64_t mid = lo + (hi - lo) / 2;
-    std::optional<std::int64_t> v = MaxSize(g, mid);
-    if (!v.has_value()) return std::nullopt;
-    if (*v > x) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  // most x + 1.
+  return LeastTicksReaching(g, x, x + 1, 0,
+                            [&](std::int64_t r) { return MaxSize(g, r); });
 }
 
 std::optional<std::int64_t> GranularityTables::LeastTicksWithGapExceeding(
     const Granularity& g, std::int64_t x) {
   // mingap(s) >= minsize(s-1) + 1 >= s, so the answer is at most x + 1.
-  const Granularity::Periodicity p = g.periodicity();
-  std::int64_t periods = FloorDiv(std::max<std::int64_t>(x, 0), p.period) + 2;
-  std::int64_t by_period = periods > kInfinity / p.ticks_per_period
-                               ? kInfinity
-                               : periods * p.ticks_per_period;
-  std::int64_t hi = std::max<std::int64_t>(
-      std::min(std::max<std::int64_t>(x, 0) + 1, by_period), 1);
-  std::optional<std::int64_t> at_hi = MinGap(g, hi);
-  if (!at_hi.has_value()) return std::nullopt;
-  while (*at_hi <= x) {  // defensive; should not trigger
-    hi *= 2;
-    at_hi = MinGap(g, hi);
-    if (!at_hi.has_value()) return std::nullopt;
-  }
-  std::int64_t lo = 1;
-  while (lo < hi) {
-    std::int64_t mid = lo + (hi - lo) / 2;
-    std::optional<std::int64_t> v = MinGap(g, mid);
-    if (!v.has_value()) return std::nullopt;
-    if (*v > x) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  return LeastTicksReaching(g, std::max<std::int64_t>(x, 0), x + 1, 1,
+                            [&](std::int64_t s) { return MinGap(g, s); });
 }
 
 }  // namespace granmine

@@ -22,129 +22,6 @@ namespace granmine {
 
 namespace {
 
-// Smallest type universe covering the sequence, σ and E0.
-int TypeUniverseSize(const DiscoveryProblem& problem,
-                     const EventSequence& sequence,
-                     const std::vector<std::vector<EventTypeId>>& allowed) {
-  EventTypeId max_type = problem.reference_type;
-  for (const Event& event : sequence.events()) {
-    max_type = std::max(max_type, event.type);
-  }
-  for (const std::vector<EventTypeId>& types : allowed) {
-    for (EventTypeId type : types) max_type = std::max(max_type, type);
-  }
-  return max_type + 1;
-}
-
-// Does some event usable for v with an allowed type fall in the window?
-bool WindowSatisfiable(const EventSequence& sequence,
-                       const PropagationResult& propagation, VariableId v,
-                       const TimeSpan& window,
-                       const std::vector<EventTypeId>& types) {
-  if (window.empty()) return false;
-  const std::vector<Event>& events = sequence.events();
-  for (std::size_t i = FirstEventAtOrAfter(sequence, window.first);
-       i < events.size() && events[i].time <= window.last; ++i) {
-    if (std::find(types.begin(), types.end(), events[i].type) ==
-        types.end()) {
-      continue;
-    }
-    if (UsableForVariable(propagation, v, window, events[i].time)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Step 3 per candidate. One bitset over the surviving roots for each
-// non-root variable v and each type in allowed[v], the rows of v in odometer
-// order: bit i is set iff windows[i].windows[v] holds a usable event of that
-// type. A candidate can match only at the roots where every one of its rows
-// is set — WindowSatisfiable's argument, kept per type. Without step 3 the
-// table has no rows and every root is eligible.
-struct EligibilityTable {
-  std::size_t roots = 0;
-  std::size_t words = 0;               // 64-bit words per row
-  std::size_t rows = 0;
-  std::vector<std::size_t> first_row;  // per variable; empty = no rows
-  std::vector<std::uint64_t> bits;     // row-major
-};
-
-// Lays out the rows of `table`, whose roots and words are set.
-void LayOutEligibility(const std::vector<std::vector<EventTypeId>>& allowed,
-                       VariableId root, EligibilityTable* table) {
-  for (std::size_t v = 0; v < allowed.size(); ++v) {
-    table->first_row.push_back(table->rows);
-    if (static_cast<VariableId>(v) != root) table->rows += allowed[v].size();
-  }
-}
-
-// Sets the bits of a laid-out table.
-void FillEligibility(const EventSequence& sequence,
-                     const PropagationResult& propagation,
-                     const std::vector<RootWindows>& windows,
-                     const std::vector<std::vector<EventTypeId>>& allowed,
-                     VariableId root, EligibilityTable* table_out) {
-  EligibilityTable& table = *table_out;
-  table.bits.assign(table.rows * table.words, 0);
-  const std::vector<Event>& events = sequence.events();
-  for (std::size_t i = 0; i < table.roots; ++i) {
-    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-    for (std::size_t v = 0; v < allowed.size(); ++v) {
-      if (static_cast<VariableId>(v) == root) continue;
-      const TimeSpan& window = windows[i].windows[v];
-      if (window.empty()) continue;
-      const std::vector<EventTypeId>& types = allowed[v];
-      for (std::size_t e = FirstEventAtOrAfter(sequence, window.first);
-           e < events.size() && events[e].time <= window.last; ++e) {
-        auto type = std::find(types.begin(), types.end(), events[e].type);
-        if (type == types.end()) continue;
-        std::uint64_t& word =
-            table.bits[(table.first_row[v] +
-                        static_cast<std::size_t>(type - types.begin())) *
-                           table.words +
-                       i / 64];
-        if ((word & bit) == 0 &&
-            UsableForVariable(propagation, static_cast<VariableId>(v),
-                              window, events[e].time)) {
-          word |= bit;
-        }
-      }
-    }
-  }
-}
-
-// Writes φ's eligible roots into `mask` (table.words words) and returns
-// how many there are.
-std::size_t EligibleRoots(const EligibilityTable& table,
-                          const std::vector<std::vector<EventTypeId>>& allowed,
-                          VariableId root, const std::vector<EventTypeId>& phi,
-                          std::uint64_t* mask) {
-  std::fill(mask, mask + table.words, ~std::uint64_t{0});
-  if (table.roots % 64 != 0) {
-    mask[table.words - 1] = (std::uint64_t{1} << (table.roots % 64)) - 1;
-  }
-  if (!table.first_row.empty()) {
-    for (std::size_t v = 0; v < allowed.size(); ++v) {
-      if (static_cast<VariableId>(v) == root) continue;
-      const std::vector<EventTypeId>& types = allowed[v];
-      const std::uint64_t* row =
-          table.bits.data() +
-          (table.first_row[v] +
-           static_cast<std::size_t>(
-               std::find(types.begin(), types.end(), phi[v]) -
-               types.begin())) *
-              table.words;
-      for (std::size_t w = 0; w < table.words; ++w) mask[w] &= row[w];
-    }
-  }
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < table.words; ++w) {
-    count += static_cast<std::size_t>(std::popcount(mask[w]));
-  }
-  return count;
-}
-
 // All size-k subsets of non-root variables that form a chain under
 // reachability (every pair comparable) — the §5.1 sub-chain condition.
 std::vector<std::vector<VariableId>> ChainSubsets(
@@ -244,6 +121,8 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
       ResolveAllowedTypes(problem, sequence, root);
   const int type_count = TypeUniverseSize(problem, sequence, allowed);
   report.candidates_before = CandidateCount(allowed, root);
+  const bool partial =
+      options_.on_exhaustion == MinerOptions::ExhaustionPolicy::kPartial;
 
   // Step 2: sequence reduction.
   EventSequence working = options_.reduce_sequence
@@ -251,40 +130,54 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
                               : sequence;
   report.events_after_reduction = working.size();
 
-  // Reference occurrences and their windows; step 3 discards hopeless ones.
-  std::vector<std::size_t> surviving;
+  // Steps 3 and 4 read one window-usability table, charged before it is
+  // built so that a tight memory budget stops the mine here instead of
+  // allocating. Its columns are the roots step 3 keeps: every root without
+  // step 3.
+  std::vector<std::size_t> surviving =
+      working.OccurrencesOf(problem.reference_type);
+  const bool use_table =
+      options_.reduce_roots || options_.screening_depth >= 1;
+  UsabilityTable table(
+      use_table ? allowed : std::vector<std::vector<EventTypeId>>{}, root,
+      surviving.size());
+  GovernorAllocator table_arena(governor, GovernorScope::kMine);
+  if (StopCause cause = use_table ? table_arena.Charge(0, table.bytes())
+                                  : StopCause::kNone;
+      cause != StopCause::kNone) {
+    if (!partial) return StopCauseToStatus(cause, "the mining run");
+    report.candidates_after_screening = report.candidates_before;
+    report.completeness.not_evaluated = report.candidates_before;
+    report.completeness.stop = cause;
+    report.completeness.complete = false;
+    return report;
+  }
   std::vector<RootWindows> windows;
   {
     GM_TRACE_SPAN("mine_root_windows");
-    std::vector<std::size_t> root_indices =
-        working.OccurrencesOf(problem.reference_type);
-    for (std::size_t idx : root_indices) {
-      TimePoint t0 = working.events()[idx].time;
-      RootWindows rw;
-      if (needs_windows) {
-        rw = ComputeRootWindows(structure, root, propagation, t0);
-        if (options_.reduce_roots) {
-          bool viable = rw.root_viable;
-          for (VariableId v = 0; viable && v < structure.variable_count();
-               ++v) {
-            if (v == root) continue;
-            viable = WindowSatisfiable(working, propagation, v,
-                                       rw.windows[static_cast<std::size_t>(v)],
-                                       allowed[static_cast<std::size_t>(v)]);
-          }
-          if (!viable) continue;  // counts as unmatched for every candidate
-        }
+    if (needs_windows) {
+      for (std::size_t idx : surviving) {
+        windows.push_back(ComputeRootWindows(structure, root, propagation,
+                                             working.events()[idx].time));
       }
-      surviving.push_back(idx);
-      windows.push_back(std::move(rw));
+    }
+    if (use_table) {
+      // Step 3: a dropped root counts as unmatched for every candidate.
+      std::vector<std::size_t> kept =
+          table.Build(working, propagation, windows, options_.reduce_roots);
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        surviving[i] = surviving[kept[i]];
+        windows[i] = std::move(windows[kept[i]]);
+      }
+      surviving.resize(kept.size());
+      windows.resize(kept.size());
     }
   }
   report.roots_after_reduction = surviving.size();
 
   // Step 4: candidate screening.
-  if (options_.screening_depth >= 1 && needs_windows) {
-    ScreenByWindows(propagation, working, windows, root, report.total_roots,
-                    problem.min_confidence, &allowed);
+  if (options_.screening_depth >= 1) {
+    table.Screen(report.total_roots, problem.min_confidence, &allowed);
   }
   if (options_.screening_depth >= 2) {
     GM_TRACE_SPAN("mine_screen");
@@ -347,8 +240,6 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   }
   report.candidates_after_screening = CandidateCount(allowed, root);
   if (report.candidates_after_screening == 0) return report;
-  const bool partial =
-      options_.on_exhaustion == MinerOptions::ExhaustionPolicy::kPartial;
   std::uint64_t scan_total = report.candidates_after_screening;
   bool clamped = false;
   if (scan_total > options_.max_candidates) {
@@ -386,26 +277,10 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
     return report;
   }
 
-  // Step 3 per candidate, charged before it is built so that a tight memory
-  // budget stops the mine here instead of allocating.
-  GovernorAllocator table_arena(governor, GovernorScope::kMine);
-  EligibilityTable eligibility;
-  eligibility.roots = surviving.size();
-  eligibility.words = (surviving.size() + 63) / 64;
-  if (options_.reduce_roots) {
-    LayOutEligibility(allowed, root, &eligibility);
-    if (StopCause cause = table_arena.Charge(
-            0, eligibility.rows * eligibility.words * sizeof(std::uint64_t));
-        cause != StopCause::kNone) {
-      if (!partial) return StopCauseToStatus(cause, "the mining run");
-      report.completeness.not_evaluated = report.candidates_after_screening;
-      report.completeness.stop = cause;
-      report.completeness.complete = false;
-      return report;
-    }
-    FillEligibility(working, propagation, windows, allowed, root,
-                    &eligibility);
-  }
+  // Step 3 per candidate; without step 3 every root is eligible.
+  const UsabilityTable every_root({}, root, surviving.size());
+  const UsabilityTable& eligibility =
+      options_.reduce_roots ? table : every_root;
 
   // Step 5: one skeleton TAG for all candidates; anchored scans per root.
   // The skeleton, the reduced sequence, the windows and the system caches
@@ -421,7 +296,7 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   std::vector<MatchScratch> scratches(static_cast<std::size_t>(
       options_.executor != nullptr ? options_.executor->num_threads() : 1));
   std::vector<std::vector<std::uint64_t>> masks(
-      scratches.size(), std::vector<std::uint64_t>(eligibility.words));
+      scratches.size(), std::vector<std::uint64_t>(eligibility.words()));
 
   // The verdict's own test; the cut-off asks it of matched + the eligible
   // roots still to run.
@@ -443,8 +318,7 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
       }
     }
     std::uint64_t* mask = masks[static_cast<std::size_t>(worker)].data();
-    std::size_t remaining =
-        EligibleRoots(eligibility, allowed, root, phi, mask);
+    std::size_t remaining = eligibility.EligibleRoots(phi, mask);
     out->skipped_ineligible += surviving.size() - remaining;
     std::size_t matched = 0;
     // Step 3 on: refuted as soon as even every eligible root left could not
@@ -457,7 +331,7 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
     };
     if (cut_off()) return CandidateFate::kDecided;
     SymbolMap symbols = SymbolMap::FromAssignment(phi, type_count);
-    for (std::size_t w = 0; w < eligibility.words; ++w) {
+    for (std::size_t w = 0; w < eligibility.words(); ++w) {
       for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
         const std::size_t i =
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
@@ -511,24 +385,8 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   scan_options.request_id = options_.request_id;
   ScanMergeResult merged =
       ScanCandidates(allowed, root, scan_total, scan_options, scan_candidate);
-  GM_RETURN_NOT_OK(merged.status);
-  report.tag_runs += merged.tag_runs;
-  report.matcher_configurations += merged.configurations;
-  report.completeness.confirmed = merged.confirmed;
-  report.completeness.refuted = merged.refuted;
-  report.completeness.unknown = merged.unknown;
-  report.completeness.not_evaluated = merged.not_evaluated;
-  report.solutions = std::move(merged.solutions);
-  report.unknown_sample = std::move(merged.unknown_sample);
-  StopCause first_stop = merged.first_stop;
-  if (clamped) {
-    report.completeness.not_evaluated +=
-        report.candidates_after_screening - scan_total;
-    if (first_stop == StopCause::kNone) first_stop = StopCause::kStepBudget;
-  }
-  report.completeness.stop = first_stop;
-  report.completeness.complete = report.completeness.unknown == 0 &&
-                                 report.completeness.not_evaluated == 0;
+  GM_RETURN_NOT_OK(FoldScanIntoReport(std::move(merged), scan_total, clamped,
+                                      &report));
   return report;
 }
 

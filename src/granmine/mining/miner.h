@@ -89,15 +89,16 @@ struct MinerOptions {
 
 /// The §5 discovery procedure: steps 1-4 shrink the search space, step 5
 /// scans the sequence with one anchored TAG run per (candidate, reference
-/// occurrence), using a single skeleton TAG for every candidate. With step 3
-/// on, a read-only eligibility table (one bitset over the surviving roots
-/// per variable and allowed type) limits each candidate's runs to the roots
-/// its types can match at, and a candidate stops as soon as it cannot clear
-/// the threshold; tag_runs counts only the runs made. With a
-/// `MinerOptions::executor` the step-5 scans fan out across that borrowed
-/// pool: the skeleton TAG, the reduced sequence and the shared
-/// granularity caches are read-only by then, each worker keeps its own
-/// match scratch, and per-candidate results are merged deterministically.
+/// occurrence), using a single skeleton TAG for every candidate. Steps 3 and
+/// 4 read one window-usability table (screening.h): it drops hopeless roots,
+/// counts the k = 1 screening hits and, with step 3 on, limits each
+/// candidate's runs to the roots its types can match at; a candidate stops
+/// as soon as it cannot clear the threshold, and tag_runs counts only the
+/// runs made. With a `MinerOptions::executor` the step-5 scans fan out
+/// across that borrowed pool: the skeleton TAG, the reduced sequence, the
+/// table and the shared granularity caches are read-only by then, each
+/// worker keeps its own match scratch, and per-candidate results are merged
+/// deterministically.
 class Miner {
  public:
   /// `system` provides the shared table/coverage caches; it must own every

@@ -10,6 +10,19 @@
 
 namespace granmine {
 
+int TypeUniverseSize(const DiscoveryProblem& problem,
+                     const EventSequence& sequence,
+                     const std::vector<std::vector<EventTypeId>>& allowed) {
+  EventTypeId max_type = problem.reference_type;
+  for (const Event& event : sequence.events()) {
+    max_type = std::max(max_type, event.type);
+  }
+  for (const std::vector<EventTypeId>& types : allowed) {
+    for (EventTypeId type : types) max_type = std::max(max_type, type);
+  }
+  return max_type + 1;
+}
+
 std::uint64_t CandidateCount(
     const std::vector<std::vector<EventTypeId>>& allowed, VariableId root) {
   std::uint64_t product = 1;
@@ -244,6 +257,30 @@ ScanMergeResult ScanCandidates(
   GM_COUNTER_ADD("granmine_tag_transitions_total", "", merged.transitions);
   GM_COUNTER_ADD("granmine_tag_groups_total", "", merged.kernel_groups);
   return merged;
+}
+
+Status FoldScanIntoReport(ScanMergeResult merged, std::uint64_t scan_total,
+                          bool clamped, MiningReport* report) {
+  GM_RETURN_NOT_OK(merged.status);
+  report->tag_runs += merged.tag_runs;
+  report->matcher_configurations += merged.configurations;
+  MiningCompleteness& completeness = report->completeness;
+  completeness.confirmed = merged.confirmed;
+  completeness.refuted = merged.refuted;
+  completeness.unknown = merged.unknown;
+  completeness.not_evaluated = merged.not_evaluated;
+  report->solutions = std::move(merged.solutions);
+  report->unknown_sample = std::move(merged.unknown_sample);
+  StopCause first_stop = merged.first_stop;
+  if (clamped) {
+    completeness.not_evaluated +=
+        report->candidates_after_screening - scan_total;
+    if (first_stop == StopCause::kNone) first_stop = StopCause::kStepBudget;
+  }
+  completeness.stop = first_stop;
+  completeness.complete =
+      completeness.unknown == 0 && completeness.not_evaluated == 0;
+  return Status::OK();
 }
 
 }  // namespace granmine

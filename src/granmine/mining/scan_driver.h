@@ -8,10 +8,18 @@
 #include "granmine/common/governor.h"
 #include "granmine/common/result.h"
 #include "granmine/mining/discovery.h"
+#include "granmine/sequence/sequence.h"
 
 namespace granmine {
 
 class Executor;
+
+/// Smallest type universe covering the sequence, σ and E0: the step-5 symbol
+/// map's size. A stream passes no sequence, which behaves identically: step
+/// 2 drops every event typed outside σ ∪ {E0} before the matcher sees it.
+int TypeUniverseSize(const DiscoveryProblem& problem,
+                     const EventSequence& sequence,
+                     const std::vector<std::vector<EventTypeId>>& allowed);
 
 /// Mixed-radix enumeration of candidate assignments over `allowed` with the
 /// root variable pinned and the last variable least significant. `OdometerAt`
@@ -126,6 +134,13 @@ ScanMergeResult ScanCandidates(
     const std::vector<std::vector<EventTypeId>>& allowed, VariableId root,
     std::uint64_t scan_total, const ScanDriverOptions& options,
     const CandidateEvaluator& evaluator);
+
+/// Folds a merged scan into `report` (runs, configurations, verdicts,
+/// solutions, unknown sample); with `clamped`, the candidates past
+/// `scan_total` are not evaluated and the stop defaults to kStepBudget.
+/// Returns the merged status, folding nothing when it is not OK.
+Status FoldScanIntoReport(ScanMergeResult merged, std::uint64_t scan_total,
+                          bool clamped, MiningReport* report);
 
 }  // namespace granmine
 

@@ -1,6 +1,7 @@
 #include "granmine/mining/screening.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "granmine/common/check.h"
@@ -15,6 +16,129 @@ std::size_t FirstEventAtOrAfter(const EventSequence& sequence, TimePoint t) {
   return static_cast<std::size_t>(it - events.begin());
 }
 
+UsabilityTable::UsabilityTable(
+    const std::vector<std::vector<EventTypeId>>& allowed, VariableId root,
+    std::size_t max_roots)
+    : root_(root), words_((max_roots + 63) / 64), roots_(max_roots) {
+  for (std::size_t v = 0; v < allowed.size(); ++v) {
+    first_row_.push_back(rows_);
+    types_.push_back(static_cast<VariableId>(v) == root
+                         ? std::vector<EventTypeId>{}
+                         : allowed[v]);
+    rows_ += types_.back().size();
+  }
+}
+
+std::size_t UsabilityTable::TypeIndex(std::size_t v, EventTypeId type) const {
+  const std::vector<EventTypeId>& types = types_[v];
+  return static_cast<std::size_t>(
+      std::find(types.begin(), types.end(), type) - types.begin());
+}
+
+bool UsabilityTable::ScanWindow(const EventSequence& sequence,
+                                const PropagationResult& propagation,
+                                std::size_t v, const TimeSpan& window,
+                                std::size_t column) {
+  if (window.empty()) return false;
+  const std::uint64_t bit = std::uint64_t{1} << (column % 64);
+  const std::vector<Event>& events = sequence.events();
+  bool any = false;
+  for (std::size_t e = FirstEventAtOrAfter(sequence, window.first);
+       e < events.size() && events[e].time <= window.last; ++e) {
+    const std::size_t type = TypeIndex(v, events[e].type);
+    if (type == types_[v].size()) continue;
+    std::uint64_t& word = bits_[Word(v, type, column)];
+    if ((word & bit) == 0 &&
+        UsableForVariable(propagation, static_cast<VariableId>(v), window,
+                          events[e].time)) {
+      word |= bit;
+      any = true;
+    }
+  }
+  return any;
+}
+
+std::vector<std::size_t> UsabilityTable::Build(
+    const EventSequence& sequence, const PropagationResult& propagation,
+    const std::vector<RootWindows>& windows, bool reduce) {
+  GM_CHECK(windows.size() <= roots_);
+  bits_.assign(rows_ * words_, 0);
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const std::size_t column = kept.size();
+    bool usable = !reduce || windows[i].root_viable;
+    for (std::size_t v = 0; usable && v < types_.size(); ++v) {
+      if (static_cast<VariableId>(v) == root_) continue;
+      usable = ScanWindow(sequence, propagation, v, windows[i].windows[v],
+                          column) ||
+               !reduce;
+    }
+    if (usable) {
+      kept.push_back(i);
+      continue;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (column % 64);
+    for (std::size_t r = 0; r < rows_; ++r) {
+      bits_[r * words_ + column / 64] &= ~bit;
+    }
+  }
+
+  // Close the rows up to the columns kept.
+  roots_ = kept.size();
+  const std::size_t words = (roots_ + 63) / 64;
+  for (std::size_t r = 1; r < rows_; ++r) {
+    std::copy_n(bits_.begin() + static_cast<std::ptrdiff_t>(r * words_),
+                words, bits_.begin() + static_cast<std::ptrdiff_t>(r * words));
+  }
+  words_ = words;
+  bits_.resize(rows_ * words_);
+  return kept;
+}
+
+void UsabilityTable::Screen(
+    std::size_t total_roots, double min_confidence,
+    std::vector<std::vector<EventTypeId>>* allowed) const {
+  GM_CHECK(allowed != nullptr);
+  if (total_roots == 0) return;
+  for (std::size_t v = 0; v < types_.size(); ++v) {
+    if (static_cast<VariableId>(v) == root_) continue;
+    std::vector<EventTypeId> surviving;
+    for (EventTypeId type :
+         std::set<EventTypeId>(types_[v].begin(), types_[v].end())) {
+      const std::uint64_t* row = bits_.data() + Word(v, TypeIndex(v, type), 0);
+      std::size_t hits = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        hits += static_cast<std::size_t>(std::popcount(row[w]));
+      }
+      if (static_cast<double>(hits) / static_cast<double>(total_roots) >
+          min_confidence) {
+        surviving.push_back(type);
+      }
+    }
+    (*allowed)[v] = std::move(surviving);
+  }
+}
+
+std::size_t UsabilityTable::EligibleRoots(const std::vector<EventTypeId>& phi,
+                                          std::uint64_t* mask) const {
+  std::fill(mask, mask + words_, ~std::uint64_t{0});
+  if (roots_ % 64 != 0) {
+    mask[words_ - 1] = (std::uint64_t{1} << (roots_ % 64)) - 1;
+  }
+  for (std::size_t v = 0; v < types_.size(); ++v) {
+    if (static_cast<VariableId>(v) == root_) continue;
+    const std::size_t type = TypeIndex(v, phi[v]);
+    GM_DCHECK(type < types_[v].size());
+    const std::uint64_t* row = bits_.data() + Word(v, type, 0);
+    for (std::size_t w = 0; w < words_; ++w) mask[w] &= row[w];
+  }
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < words_; ++w) {
+    count += static_cast<std::size_t>(std::popcount(mask[w]));
+  }
+  return count;
+}
+
 void ScreenByWindows(const PropagationResult& propagation,
                      const EventSequence& sequence,
                      const std::vector<RootWindows>& windows,
@@ -22,52 +146,9 @@ void ScreenByWindows(const PropagationResult& propagation,
                      double min_confidence,
                      std::vector<std::vector<EventTypeId>>* allowed) {
   GM_CHECK(allowed != nullptr);
-  if (total_roots == 0) return;
-  const int n = static_cast<int>(allowed->size());
-  const std::vector<Event>& events = sequence.events();
-
-  for (VariableId v = 0; v < n; ++v) {
-    if (v == root) continue;
-    std::vector<EventTypeId>& types = (*allowed)[static_cast<std::size_t>(v)];
-    if (types.empty()) continue;
-    // hits[type] = number of reference occurrences whose window for v
-    // contains a usable event of that type.
-    std::set<EventTypeId> candidate_set(types.begin(), types.end());
-    std::vector<std::size_t> hits;
-    std::vector<EventTypeId> hit_types(candidate_set.begin(),
-                                       candidate_set.end());
-    hits.assign(hit_types.size(), 0);
-    auto index_of = [&](EventTypeId type) -> int {
-      auto it = std::lower_bound(hit_types.begin(), hit_types.end(), type);
-      if (it == hit_types.end() || *it != type) return -1;
-      return static_cast<int>(it - hit_types.begin());
-    };
-    std::vector<bool> seen(hit_types.size());
-    for (const RootWindows& rw : windows) {
-      const TimeSpan& window = rw.windows[static_cast<std::size_t>(v)];
-      if (window.empty()) continue;
-      std::fill(seen.begin(), seen.end(), false);
-      for (std::size_t i = FirstEventAtOrAfter(sequence, window.first);
-           i < events.size() && events[i].time <= window.last; ++i) {
-        int idx = index_of(events[i].type);
-        if (idx < 0 || seen[static_cast<std::size_t>(idx)]) continue;
-        if (!UsableForVariable(propagation, v, window, events[i].time)) {
-          continue;
-        }
-        seen[static_cast<std::size_t>(idx)] = true;
-      }
-      for (std::size_t k = 0; k < hits.size(); ++k) {
-        if (seen[k]) ++hits[k];
-      }
-    }
-    std::vector<EventTypeId> surviving;
-    for (std::size_t k = 0; k < hit_types.size(); ++k) {
-      double frequency =
-          static_cast<double>(hits[k]) / static_cast<double>(total_roots);
-      if (frequency > min_confidence) surviving.push_back(hit_types[k]);
-    }
-    types = std::move(surviving);
-  }
+  UsabilityTable table(*allowed, root, windows.size());
+  table.Build(sequence, propagation, windows, /*reduce=*/false);
+  table.Screen(total_roots, min_confidence, allowed);
 }
 
 }  // namespace granmine

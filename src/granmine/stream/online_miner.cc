@@ -11,24 +11,6 @@
 
 namespace granmine {
 
-namespace {
-
-// Smallest type universe covering σ and E0. The batch miner also folds the
-// sequence's types in, but step-2 reduction drops every event whose type
-// lies outside σ ∪ {E0} before the matcher sees it, so the smaller universe
-// is behavior-identical.
-int StreamTypeUniverseSize(
-    const DiscoveryProblem& problem,
-    const std::vector<std::vector<EventTypeId>>& allowed) {
-  EventTypeId max_type = problem.reference_type;
-  for (const std::vector<EventTypeId>& types : allowed) {
-    for (EventTypeId type : types) max_type = std::max(max_type, type);
-  }
-  return max_type + 1;
-}
-
-}  // namespace
-
 OnlineMiner::OnlineMiner(GranularitySystem* system, DiscoveryProblem problem,
                          OnlineMinerOptions options, VariableId root,
                          std::unique_ptr<PropagationResult> propagation)
@@ -39,7 +21,7 @@ OnlineMiner::OnlineMiner(GranularitySystem* system, DiscoveryProblem problem,
       propagation_(std::move(propagation)),
       consistent_(propagation_->consistent),
       allowed_(ResolveAllowedTypes(problem_, EventSequence{}, root_)),
-      type_count_(StreamTypeUniverseSize(problem_, allowed_)),
+      type_count_(TypeUniverseSize(problem_, EventSequence{}, allowed_)),
       candidates_before_(CandidateCount(allowed_, root_)),
       scan_total_(std::min(candidates_before_, options_.max_candidates)),
       clamped_(candidates_before_ > options_.max_candidates),
@@ -308,24 +290,8 @@ Result<MiningReport> OnlineMiner::Snapshot(const ResourceGovernor* governor) {
   scan_options.request_id = options_.request_id;
   ScanMergeResult merged =
       ScanCandidates(allowed_, root_, scan_total_, scan_options, evaluate);
-  GM_RETURN_NOT_OK(merged.status);
-  report.tag_runs += merged.tag_runs;
-  report.matcher_configurations += merged.configurations;
-  report.completeness.confirmed = merged.confirmed;
-  report.completeness.refuted = merged.refuted;
-  report.completeness.unknown = merged.unknown;
-  report.completeness.not_evaluated = merged.not_evaluated;
-  report.solutions = std::move(merged.solutions);
-  report.unknown_sample = std::move(merged.unknown_sample);
-  StopCause first_stop = merged.first_stop;
-  if (clamped_) {
-    report.completeness.not_evaluated +=
-        report.candidates_after_screening - scan_total_;
-    if (first_stop == StopCause::kNone) first_stop = StopCause::kStepBudget;
-  }
-  report.completeness.stop = first_stop;
-  report.completeness.complete = report.completeness.unknown == 0 &&
-                                 report.completeness.not_evaluated == 0;
+  GM_RETURN_NOT_OK(FoldScanIntoReport(std::move(merged), scan_total_,
+                                      clamped_, &report));
   return report;
 }
 
