@@ -73,7 +73,8 @@ void RunMatch(benchmark::State& state, const EventStructure& structure,
   std::uint64_t accepted = 0;
   for (auto _ : state) {
     MatchStats stats;
-    bool ok = matcher.Accepts(seq.View(), symbols, {}, &stats);
+    bool ok = matcher.Run(seq.View(), symbols, {}, &stats) ==
+              MatchOutcome::kAccepted;
     benchmark::DoNotOptimize(ok);
     configurations += stats.configurations;
     accepted += ok;
@@ -176,7 +177,7 @@ void RunScreeningPlusMatch(benchmark::State& state, bool frozen) {
     ConstraintPropagator propagator(&system->tables(), &system->coverage());
     auto screened = propagator.Propagate(s);
     benchmark::DoNotOptimize(screened);
-    benchmark::DoNotOptimize(matcher.Accepts(seq.View(), symbols, {}));
+    benchmark::DoNotOptimize(matcher.Run(seq.View(), symbols, {}));
   }
 }
 void BM_Match_ScreenedGregorian_Hashed(benchmark::State& state) {

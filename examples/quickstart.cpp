@@ -82,7 +82,8 @@ int main() {
   SymbolMap symbols =
       SymbolMap::FromAssignment({kRise, kReport, kHpRise, kFall}, 5);
   MatchStats stats;
-  bool accepted = matcher.Accepts(sequence.View(), symbols, {}, &stats);
+  bool accepted = matcher.Run(sequence.View(), symbols, {}, &stats) ==
+                  MatchOutcome::kAccepted;
   std::printf("complex event type occurs in the sequence: %s\n",
               accepted ? "YES" : "no");
   std::printf("matcher explored %llu configurations over %llu events\n",

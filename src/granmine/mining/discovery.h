@@ -37,9 +37,10 @@ struct DiscoveryProblem {
   double min_confidence = 0.0;
   EventTypeId reference_type = 0;
   /// σ: allowed event types per variable; an empty inner vector means "every
-  /// type occurring in the sequence" (the paper's free variable). The root's
-  /// entry is ignored (the root is pinned to `reference_type`). May be empty
-  /// overall, meaning all variables are free.
+  /// type occurring in the sequence" (the paper's free variable). Each σ(X)
+  /// is a set: a repeated entry counts once and the order is ignored. The
+  /// root's entry is ignored (the root is pinned to `reference_type`). May
+  /// be empty overall, meaning all variables are free.
   std::vector<std::vector<EventTypeId>> allowed;
   /// §6: same-type / different-type constraints over the assignment φ.
   std::vector<TypeConstraint> type_constraints;

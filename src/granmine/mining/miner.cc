@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <iterator>
 
 #include "granmine/common/check.h"
 #include "granmine/common/executor.h"
@@ -70,17 +71,8 @@ Miner::Miner(GranularitySystem* system, MinerOptions options)
 Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
                                  const EventSequence& sequence,
                                  const ResourceGovernor* governor) const {
-  if (problem.structure == nullptr) {
-    return Status::Invalid("discovery problem has no structure");
-  }
-  GM_ASSIGN_OR_RETURN(VariableId root, problem.structure->FindRoot());
+  GM_ASSIGN_OR_RETURN(VariableId root, ValidateProblem(problem));
   const EventStructure& structure = *problem.structure;
-  for (const TypeConstraint& constraint : problem.type_constraints) {
-    if (constraint.a < 0 || constraint.a >= structure.variable_count() ||
-        constraint.b < 0 || constraint.b >= structure.variable_count()) {
-      return Status::Invalid("type constraint references unknown variables");
-    }
-  }
 
   // Re-install the admitting request's id: Mine may run on the caller's
   // thread (Engine) or be re-entered from tests without an Engine, and the
@@ -215,24 +207,19 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
           continue;
         }
         report.tag_runs += nested_report->tag_runs;
+        report.matcher_configurations += nested_report->matcher_configurations;
         for (std::size_t i = 1; i < subset.size(); ++i) {
           std::vector<EventTypeId> survivors;
           for (const DiscoveredType& solution : nested_report->solutions) {
-            EventTypeId type = solution.assignment[i];
-            if (std::find(survivors.begin(), survivors.end(), type) ==
-                survivors.end()) {
-              survivors.push_back(type);
-            }
+            survivors.push_back(solution.assignment[i]);
           }
+          std::sort(survivors.begin(), survivors.end());
           std::vector<EventTypeId>& target =
               allowed[static_cast<std::size_t>(subset[i])];
           std::vector<EventTypeId> intersection;
-          for (EventTypeId type : target) {
-            if (std::find(survivors.begin(), survivors.end(), type) !=
-                survivors.end()) {
-              intersection.push_back(type);
-            }
-          }
+          std::set_intersection(target.begin(), target.end(),
+                                survivors.begin(), survivors.end(),
+                                std::back_inserter(intersection));
           target = std::move(intersection);
         }
       }

@@ -107,7 +107,8 @@ class Miner {
                  MinerOptions options = MinerOptions{});
 
   /// Solves the discovery problem on `sequence`. Solutions are returned in
-  /// lexicographic assignment order.
+  /// lexicographic assignment order: ascending type ids, compared variable
+  /// by variable in id order, whichever steps ran.
   ///
   /// `governor`, when given, imposes a shared wall-clock deadline / step
   /// budget / cancellation token on every phase (propagation, screening,

@@ -6,6 +6,21 @@
 
 namespace granmine {
 
+Result<VariableId> ValidateProblem(const DiscoveryProblem& problem) {
+  if (problem.structure == nullptr) {
+    return Status::Invalid("discovery problem has no structure");
+  }
+  GM_ASSIGN_OR_RETURN(VariableId root, problem.structure->FindRoot());
+  const int n = problem.structure->variable_count();
+  for (const TypeConstraint& constraint : problem.type_constraints) {
+    if (constraint.a < 0 || constraint.a >= n || constraint.b < 0 ||
+        constraint.b >= n) {
+      return Status::Invalid("type constraint references unknown variables");
+    }
+  }
+  return root;
+}
+
 std::vector<std::vector<EventTypeId>> ResolveAllowedTypes(
     const DiscoveryProblem& problem, const EventSequence& sequence,
     VariableId root) {
@@ -15,16 +30,16 @@ std::vector<std::vector<EventTypeId>> ResolveAllowedTypes(
   std::vector<std::vector<EventTypeId>> allowed(
       static_cast<std::size_t>(n));
   for (VariableId v = 0; v < n; ++v) {
+    std::vector<EventTypeId>& types = allowed[static_cast<std::size_t>(v)];
     if (v == root) {
-      allowed[static_cast<std::size_t>(v)] = {problem.reference_type};
-      continue;
-    }
-    if (static_cast<std::size_t>(v) < problem.allowed.size() &&
-        !problem.allowed[static_cast<std::size_t>(v)].empty()) {
-      allowed[static_cast<std::size_t>(v)] =
-          problem.allowed[static_cast<std::size_t>(v)];
+      types = {problem.reference_type};
+    } else if (static_cast<std::size_t>(v) < problem.allowed.size() &&
+               !problem.allowed[static_cast<std::size_t>(v)].empty()) {
+      types = problem.allowed[static_cast<std::size_t>(v)];
+      std::sort(types.begin(), types.end());
+      types.erase(std::unique(types.begin(), types.end()), types.end());
     } else {
-      allowed[static_cast<std::size_t>(v)] = all_types;
+      types = all_types;
     }
   }
   return allowed;

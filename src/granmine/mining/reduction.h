@@ -3,15 +3,22 @@
 
 #include <vector>
 
+#include "granmine/common/result.h"
 #include "granmine/constraint/propagation.h"
 #include "granmine/mining/discovery.h"
 #include "granmine/sequence/sequence.h"
 
 namespace granmine {
 
-/// The per-variable candidate type sets of a discovery problem with σ's
-/// "free" entries expanded to the sequence's distinct types and the root
-/// pinned to the reference type.
+/// Checks what every miner needs of a discovery problem: a structure with
+/// one root and type constraints over its variables. Returns the root.
+Result<VariableId> ValidateProblem(const DiscoveryProblem& problem);
+
+/// The per-variable candidate type sets of a discovery problem, in σ's one
+/// normal form: each non-root set sorted ascending and distinct, σ's "free"
+/// entries expanded to the sequence's distinct types, and the root pinned
+/// to the reference type. Every later step reads σ in this form, so a
+/// candidate's odometer order is ascending type order on every path.
 std::vector<std::vector<EventTypeId>> ResolveAllowedTypes(
     const DiscoveryProblem& problem, const EventSequence& sequence,
     VariableId root);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
+#include <functional>
 
 #include "granmine/common/check.h"
 
@@ -25,6 +25,9 @@ UsabilityTable::UsabilityTable(
     types_.push_back(static_cast<VariableId>(v) == root
                          ? std::vector<EventTypeId>{}
                          : allowed[v]);
+    GM_CHECK(std::adjacent_find(types_.back().begin(), types_.back().end(),
+                                std::greater_equal<>()) ==
+             types_.back().end());
     rows_ += types_.back().size();
   }
 }
@@ -103,16 +106,15 @@ void UsabilityTable::Screen(
   for (std::size_t v = 0; v < types_.size(); ++v) {
     if (static_cast<VariableId>(v) == root_) continue;
     std::vector<EventTypeId> surviving;
-    for (EventTypeId type :
-         std::set<EventTypeId>(types_[v].begin(), types_[v].end())) {
-      const std::uint64_t* row = bits_.data() + Word(v, TypeIndex(v, type), 0);
+    for (std::size_t type = 0; type < types_[v].size(); ++type) {
+      const std::uint64_t* row = bits_.data() + Word(v, type, 0);
       std::size_t hits = 0;
       for (std::size_t w = 0; w < words_; ++w) {
         hits += static_cast<std::size_t>(std::popcount(row[w]));
       }
       if (static_cast<double>(hits) / static_cast<double>(total_roots) >
           min_confidence) {
-        surviving.push_back(type);
+        surviving.push_back(types_[v][type]);
       }
     }
     (*allowed)[v] = std::move(surviving);

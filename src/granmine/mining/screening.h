@@ -13,17 +13,19 @@ namespace granmine {
 /// §5 steps 3 and 4 ask one question of the per-root windows: does root i's
 /// v-window hold an event of type E usable for v? The table answers it once
 /// per mine. Row (v, E) pairs a non-root variable v with a type of the
-/// allowed[v] it was laid out from (v's rows in odometer order; a repeated
-/// type uses its first row), column i is the i-th root kept, and a bit is
-/// set iff that root's v-window holds an E-event passing UsableForVariable.
+/// allowed[v] it was laid out from, which is in ResolveAllowedTypes' normal
+/// form (sorted, distinct), so v's rows are σ(v)'s positions one to one.
+/// Column i is the i-th root kept, and a bit is set iff that root's v-window
+/// holds an E-event passing UsableForVariable.
 /// Step 3 drops roots with it (Build), step 4 at k = 1 counts a row's bits
 /// (Screen), and a candidate is eligible at the AND of its rows
 /// (EligibleRoots).
 class UsabilityTable {
  public:
-  /// Rows for every non-root v and every type of allowed[v] and `max_roots`
-  /// columns, no bits until Build. A table without rows (`allowed` empty)
-  /// needs no Build: each of its columns is eligible for every candidate.
+  /// Rows for every non-root v and every type of allowed[v] (each sorted
+  /// and distinct) and `max_roots` columns, no bits until Build. A table
+  /// without rows (`allowed` empty) needs no Build: each of its columns is
+  /// eligible for every candidate.
   UsabilityTable(const std::vector<std::vector<EventTypeId>>& allowed,
                  VariableId root, std::size_t max_roots);
 
@@ -41,8 +43,8 @@ class UsabilityTable {
                                  const std::vector<RootWindows>& windows,
                                  bool reduce);
 
-  /// Step 4 at k = 1: sets each non-root allowed[v] to the sorted distinct
-  /// types of v's rows whose set bits / `total_roots` (every reference
+  /// Step 4 at k = 1: sets each non-root allowed[v] to the types of v's
+  /// rows, in row order, whose set bits / `total_roots` (every reference
   /// occurrence of the input) is strictly above `min_confidence`. A full
   /// occurrence restricts to one of the induced two-variable sub-structure,
   /// so a pruned type is in no solution.
@@ -61,7 +63,7 @@ class UsabilityTable {
   bool ScanWindow(const EventSequence& sequence,
                   const PropagationResult& propagation, std::size_t v,
                   const TimeSpan& window, std::size_t column);
-  // Index of `type`'s first row among v's rows, or types_[v].size().
+  // Index of `type`'s row among v's rows, or types_[v].size().
   std::size_t TypeIndex(std::size_t v, EventTypeId type) const;
   std::size_t Word(std::size_t v, std::size_t type, std::size_t column) const {
     return (first_row_[v] + type) * words_ + column / 64;

@@ -34,17 +34,8 @@ Result<OnlineMiner> OnlineMiner::Create(GranularitySystem* system,
                                         const DiscoveryProblem& problem,
                                         OnlineMinerOptions options) {
   GM_CHECK(system != nullptr);
-  if (problem.structure == nullptr) {
-    return Status::Invalid("discovery problem has no structure");
-  }
-  GM_ASSIGN_OR_RETURN(VariableId root, problem.structure->FindRoot());
+  GM_ASSIGN_OR_RETURN(VariableId root, ValidateProblem(problem));
   const EventStructure& structure = *problem.structure;
-  for (const TypeConstraint& constraint : problem.type_constraints) {
-    if (constraint.a < 0 || constraint.a >= structure.variable_count() ||
-        constraint.b < 0 || constraint.b >= structure.variable_count()) {
-      return Status::Invalid("type constraint references unknown variables");
-    }
-  }
   if (options.tolerance < 0) {
     return Status::Invalid("stream tolerance must be non-negative");
   }

@@ -54,18 +54,6 @@ class TagMatcher {
                    MatchStats* stats = nullptr,
                    MatchScratch* scratch = nullptr) const;
 
-  /// Legacy boolean view of Run: true iff kAccepted. Callers that set a
-  /// configuration budget or a governor must use Run — this wrapper folds
-  /// kUnknown into false, which is only safe when the run cannot be
-  /// interrupted. Check stats->stopped when in doubt.
-  bool Accepts(std::span<const Event> events, const SymbolMap& symbols,
-               const MatchOptions& options = MatchOptions{},
-               MatchStats* stats = nullptr,
-               MatchScratch* scratch = nullptr) const {
-    return Run(events, symbols, options, stats, scratch) ==
-           MatchOutcome::kAccepted;
-  }
-
   /// The shared transition kernel (also used by stream::IncrementalMatcher).
   const TagKernel& kernel() const { return kernel_; }
 

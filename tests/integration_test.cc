@@ -61,8 +61,8 @@ TEST_F(PaperNarrativeTest, Example1FullPipeline) {
   for (std::size_t at : workload.sequence.OccurrencesOf(phi[0])) {
     MatchOptions anchored;
     anchored.anchored = true;
-    if (matcher.Accepts(workload.sequence.SuffixFrom(at), symbols,
-                        anchored)) {
+    if (matcher.Run(workload.sequence.SuffixFrom(at), symbols, anchored) ==
+        MatchOutcome::kAccepted) {
       ++tag_matches;
     }
     OracleOptions oracle_options;
@@ -182,11 +182,12 @@ TEST_F(PaperNarrativeTest, RealCalendarDifferential) {
       t += rng.Uniform(1, 2 * kSecondsPerDay);
       seq.Add(static_cast<EventTypeId>(rng.Uniform(0, kTypeCount - 1)), t);
     }
-    bool tag_says = matcher.Accepts(seq.View(), symbols);
     bool oracle_says = OccursBruteForce(s, phi, seq.View());
-    ASSERT_EQ(tag_says, oracle_says) << s.ToString() << " trial " << trial;
+    ASSERT_EQ(matcher.Run(seq.View(), symbols),
+              oracle_says ? MatchOutcome::kAccepted : MatchOutcome::kRejected)
+        << s.ToString() << " trial " << trial;
     ++agreements;
-    accepted += tag_says;
+    accepted += oracle_says;
   }
   EXPECT_EQ(agreements, 60);
   EXPECT_GT(accepted, 5);

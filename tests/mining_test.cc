@@ -136,6 +136,49 @@ TEST_F(StockMiningTest, NaiveAndOptimizedAgree) {
   EXPECT_LE(optimized_report->tag_runs, naive_report->tag_runs);
 }
 
+TEST_F(StockMiningTest, RepeatedUnsortedSigmaIsASet) {
+  // σ(X1) lists a type twice and out of order. σ is a set, so every path —
+  // the naive scan included, where no screening step re-sorts it — mines
+  // each candidate once and reports it once, in ascending type order.
+  StockWorkloadOptions options;
+  options.trading_days = 24;
+  options.noise_events_per_day = 2.0;
+  options.noise_ticker_count = 2;
+  options.seed = 3;
+  Workload workload = MakeStockWorkload(*system_, options);
+  const EventTypeId report = *workload.registry.Find("IBM-earnings-report");
+  const EventTypeId fall = *workload.registry.Find("IBM-fall");
+  const EventTypeId hp_rise = *workload.registry.Find("HP-rise");
+
+  DiscoveryProblem problem;
+  problem.structure = &structure_;
+  problem.min_confidence = 0.15;
+  problem.reference_type = *workload.registry.Find("IBM-rise");
+  problem.allowed = {{}, {hp_rise, report, fall, report}, {}, {fall}};
+
+  auto solutions = [](const MiningReport& mined) {
+    std::vector<std::pair<std::vector<EventTypeId>, std::size_t>> out;
+    for (const DiscoveredType& d : mined.solutions) {
+      out.emplace_back(d.assignment, d.matched_roots);
+    }
+    return out;
+  };
+  auto naive = Miner(system_.get(), MinerOptions::Naive())
+                   .Mine(problem, workload.sequence);
+  auto optimized = Miner(system_.get()).Mine(problem, workload.sequence);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  ASSERT_TRUE(optimized.ok()) << optimized.status();
+  ASSERT_GT(naive->solutions.size(), 1u);
+  EXPECT_EQ(solutions(*naive), solutions(*optimized));
+  for (std::size_t i = 1; i < naive->solutions.size(); ++i) {
+    EXPECT_LT(naive->solutions[i - 1].assignment,
+              naive->solutions[i].assignment);
+  }
+  // Three distinct types for X1, one for X3.
+  EXPECT_EQ(naive->candidates_before,
+            3 * workload.sequence.DistinctTypes().size());
+}
+
 TEST_F(StockMiningTest, MineScanShapeSkipsRunsThatCannotMatch) {
   // The serving benchmark's mine-scan request: every non-root variable free,
   // 10 trading days, θ 0.3. Step 5 runs a candidate only at the roots where

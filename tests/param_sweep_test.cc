@@ -175,8 +175,9 @@ TEST_P(DifferentialSeedSweep, TagAgreesWithOracle) {
       t += rng.Uniform(0, 3);
       seq.Add(static_cast<EventTypeId>(rng.Uniform(0, kTypeCount - 1)), t);
     }
-    ASSERT_EQ(matcher.Accepts(seq.View(), symbols),
-              OccursBruteForce(s, phi, seq.View()))
+    ASSERT_EQ(matcher.Run(seq.View(), symbols),
+              OccursBruteForce(s, phi, seq.View()) ? MatchOutcome::kAccepted
+                                                   : MatchOutcome::kRejected)
         << s.ToString() << " seed " << GetParam() << " trial " << trial;
   }
 }

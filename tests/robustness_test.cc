@@ -195,8 +195,6 @@ TEST_F(MatcherGovernorTest, BudgetExhaustionIsUnknownNotRejected) {
             MatchOutcome::kUnknown);
   EXPECT_TRUE(stats.budget_exhausted);
   EXPECT_EQ(stats.stopped, StopCause::kStepBudget);
-  // The legacy boolean view folds unknown into false — by contract.
-  EXPECT_FALSE(matcher.Accepts(seq_.View(), symbols, strangled, &stats));
 }
 
 TEST_F(MatcherGovernorTest, GovernorTripYieldsUnknownWithCause) {

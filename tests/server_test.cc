@@ -503,6 +503,47 @@ TEST_F(ServerDifferentialTest, StreamFramesMatchTheCliLoop) {
   EXPECT_EQ(served_out, cli.out);
 }
 
+// σ is a set: a stream whose --types pool repeats a type mines each
+// candidate once, so it reports what the pool without the repeat reports.
+TEST_F(ServerDifferentialTest, StreamWithARepeatedTypeReportsEachSolutionOnce) {
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  const std::string types =
+      "IBM-rise,IBM-fall,HP-rise,HP-fall,IBM-earnings-report";
+  server::StreamOpenCall open;
+  open.structure_text = kStructure;
+  open.reference = "IBM-rise";
+  open.window = "1209600";
+  open.slide = "604800";
+  open.types = types + ",IBM-fall";
+  auto opened = client->StreamOpen(open);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_EQ(opened->exit_code, 0) << opened->err;
+  std::string served_out = opened->out;
+  auto ack = client->StreamIngest(kEvents);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_EQ(ack->exit_code, 0) << ack->err;
+  served_out += ack->out;
+  auto sealed = client->StreamSeal();
+  ASSERT_TRUE(sealed.ok());
+  ASSERT_EQ(sealed->exit_code, 0) << sealed->err;
+  served_out += sealed->out;
+
+  const std::string args = "stream --structure " + structure_path_ +
+                           " --events " + events_path_ +
+                           " --reference IBM-rise --window 1209600"
+                           " --slide 604800 --types ";
+  const CliRun repeated = RunCli(args + open.types);
+  const CliRun distinct = RunCli(args + types);
+  ASSERT_EQ(repeated.exit_code, 0);
+  EXPECT_EQ(served_out, repeated.out);
+  EXPECT_EQ(repeated.out, distinct.out);
+  const std::string final_report =
+      served_out.substr(served_out.find("final [end of stream]"));
+  EXPECT_NE(final_report.find("solutions=1\n"), std::string::npos)
+      << final_report;
+}
+
 // --- Protocol faults -----------------------------------------------------
 
 TEST_F(ServerDifferentialTest, TornFramesReassemble) {

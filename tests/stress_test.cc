@@ -51,10 +51,11 @@ TEST(EqualTimestampStressTest, GroupClosureAgreesWithOracle) {
       seq.Add(static_cast<EventTypeId>(rng.Uniform(0, kTypeCount - 1)),
               rng.Uniform(0, 3) * 2);
     }
-    bool tag_says = matcher.Accepts(seq.View(), symbols);
     bool oracle_says = OccursBruteForce(s, phi, seq.View());
-    ASSERT_EQ(tag_says, oracle_says) << s.ToString() << " trial " << trial;
-    tag_says ? ++accepted : ++rejected;
+    ASSERT_EQ(matcher.Run(seq.View(), symbols),
+              oracle_says ? MatchOutcome::kAccepted : MatchOutcome::kRejected)
+        << s.ToString() << " trial " << trial;
+    oracle_says ? ++accepted : ++rejected;
   }
   EXPECT_GT(accepted, 20);
   EXPECT_GT(rejected, 20);
@@ -76,7 +77,8 @@ TEST(EqualTimestampStressTest, LargeSingleGroup) {
   for (int i = 0; i < 60; ++i) seq.Add(i % 3, 42);
   SymbolMap symbols = SymbolMap::FromAssignment({0, 1, 2}, 3);
   MatchStats stats;
-  EXPECT_TRUE(matcher.Accepts(seq.View(), symbols, {}, &stats));
+  EXPECT_EQ(matcher.Run(seq.View(), symbols, {}, &stats),
+            MatchOutcome::kAccepted);
   EXPECT_FALSE(stats.budget_exhausted);
   // Only counts per type matter within a group, so configurations stay
   // tiny despite 60 events.

@@ -52,8 +52,10 @@ TEST(TagBuilderTest, SingleVariableStructure) {
   TagMatcher matcher(&built->tag);
   EventSequence seq;
   seq.Add(7, 100);
-  EXPECT_TRUE(matcher.Accepts(seq.View(), SymbolMap::FromAssignment({7}, 8)));
-  EXPECT_FALSE(matcher.Accepts(seq.View(), SymbolMap::FromAssignment({3}, 8)));
+  EXPECT_EQ(matcher.Run(seq.View(), SymbolMap::FromAssignment({7}, 8)),
+            MatchOutcome::kAccepted);
+  EXPECT_EQ(matcher.Run(seq.View(), SymbolMap::FromAssignment({3}, 8)),
+            MatchOutcome::kRejected);
 }
 
 TEST(TagBuilderTest, ComplexTypeSubstitution) {
@@ -111,7 +113,8 @@ class Example1MatchTest : public testing::Test {
 
 TEST_F(Example1MatchTest, AcceptsValidInstance) {
   TagMatcher matcher(&built_.tag);
-  EXPECT_TRUE(matcher.Accepts(ValidInstance().View(), PatternSymbols()));
+  EXPECT_EQ(matcher.Run(ValidInstance().View(), PatternSymbols()),
+            MatchOutcome::kAccepted);
 }
 
 TEST_F(Example1MatchTest, SkipsUnrelatedEventsIncludingWeekends) {
@@ -122,7 +125,7 @@ TEST_F(Example1MatchTest, SkipsUnrelatedEventsIncludingWeekends) {
   seq.Add(4, Hour(3, 10));   // noise Sunday 1970-01-04 (no b-day tick)
   seq.Add(4, Hour(6, 13));   // noise between HP-rise and fall
   TagMatcher matcher(&built_.tag);
-  EXPECT_TRUE(matcher.Accepts(seq.View(), PatternSymbols()));
+  EXPECT_EQ(matcher.Run(seq.View(), PatternSymbols()), MatchOutcome::kAccepted);
 }
 
 TEST_F(Example1MatchTest, RejectsGuardViolations) {
@@ -133,21 +136,24 @@ TEST_F(Example1MatchTest, RejectsGuardViolations) {
   late_report.Add(1, Hour(6, 11));
   late_report.Add(2, Hour(6, 12));
   late_report.Add(3, Hour(6, 15));
-  EXPECT_FALSE(matcher.Accepts(late_report.View(), PatternSymbols()));
+  EXPECT_EQ(matcher.Run(late_report.View(), PatternSymbols()),
+            MatchOutcome::kRejected);
   // HP-rise more than 8 hours before the fall ([0,8]hour violated).
   EventSequence early_hp;
   early_hp.Add(0, Hour(4, 10));
   early_hp.Add(1, Hour(5, 11));
   early_hp.Add(2, Hour(6, 2));
   early_hp.Add(3, Hour(6, 15));
-  EXPECT_FALSE(matcher.Accepts(early_hp.View(), PatternSymbols()));
+  EXPECT_EQ(matcher.Run(early_hp.View(), PatternSymbols()),
+            MatchOutcome::kRejected);
   // Fall two weeks later ([0,1]week violated). Day 18 = Mon Jan 19.
   EventSequence late_fall;
   late_fall.Add(0, Hour(4, 10));
   late_fall.Add(1, Hour(5, 11));
   late_fall.Add(3, Hour(18, 15));
   late_fall.Add(2, Hour(18, 12));
-  EXPECT_FALSE(matcher.Accepts(late_fall.View(), PatternSymbols()));
+  EXPECT_EQ(matcher.Run(late_fall.View(), PatternSymbols()),
+            MatchOutcome::kRejected);
 }
 
 TEST_F(Example1MatchTest, SharedVariableConsumesOneEvent) {
@@ -163,7 +169,7 @@ TEST_F(Example1MatchTest, SharedVariableConsumesOneEvent) {
   seq.Add(2, Hour(18, 10));
   seq.Add(3, Hour(18, 15));  // Fall #2: hour OK for HP, but 2 weeks later
   TagMatcher matcher(&built_.tag);
-  EXPECT_FALSE(matcher.Accepts(seq.View(), PatternSymbols()));
+  EXPECT_EQ(matcher.Run(seq.View(), PatternSymbols()), MatchOutcome::kRejected);
 }
 
 TEST_F(Example1MatchTest, AnchoredMatching) {
@@ -175,19 +181,20 @@ TEST_F(Example1MatchTest, AnchoredMatching) {
   MatchOptions anchored;
   anchored.anchored = true;
   // Anchored at the noise event: the run may not skip it.
-  EXPECT_FALSE(
-      matcher.Accepts(seq.View(), PatternSymbols(), anchored));
+  EXPECT_EQ(matcher.Run(seq.View(), PatternSymbols(), anchored),
+            MatchOutcome::kRejected);
   // Anchored at the true rise (index 1 after sorting).
-  EXPECT_TRUE(matcher.Accepts(seq.SuffixFrom(1), PatternSymbols(), anchored));
+  EXPECT_EQ(matcher.Run(seq.SuffixFrom(1), PatternSymbols(), anchored),
+            MatchOutcome::kAccepted);
   // Unanchored: found despite the leading noise.
-  EXPECT_TRUE(matcher.Accepts(seq.View(), PatternSymbols()));
+  EXPECT_EQ(matcher.Run(seq.View(), PatternSymbols()), MatchOutcome::kAccepted);
 }
 
 TEST_F(Example1MatchTest, MatchStatsPopulated) {
   TagMatcher matcher(&built_.tag);
   MatchStats stats;
-  EXPECT_TRUE(
-      matcher.Accepts(ValidInstance().View(), PatternSymbols(), {}, &stats));
+  EXPECT_EQ(matcher.Run(ValidInstance().View(), PatternSymbols(), {}, &stats),
+            MatchOutcome::kAccepted);
   EXPECT_GT(stats.configurations, 0u);
   EXPECT_GT(stats.events_scanned, 0u);
   EXPECT_FALSE(stats.budget_exhausted);
@@ -199,8 +206,8 @@ TEST_F(Example1MatchTest, ConfigurationBudget) {
   options.max_configurations = 1;
   MatchStats stats;
   EventSequence seq = ValidInstance();
-  EXPECT_FALSE(
-      matcher.Accepts(seq.View(), PatternSymbols(), options, &stats));
+  EXPECT_EQ(matcher.Run(seq.View(), PatternSymbols(), options, &stats),
+            MatchOutcome::kUnknown);
   EXPECT_TRUE(stats.budget_exhausted);
 }
 
@@ -275,11 +282,11 @@ TEST_F(TagOracleDifferentialTest, AgreesWithBruteForceOracle) {
       seq.Add(static_cast<EventTypeId>(rng.Uniform(0, kTypeCount - 1)), t);
     }
 
-    bool tag_says = matcher.Accepts(seq.View(), symbols);
     bool oracle_says = OccursBruteForce(s, phi, seq.View());
-    ASSERT_EQ(tag_says, oracle_says)
+    ASSERT_EQ(matcher.Run(seq.View(), symbols),
+              oracle_says ? MatchOutcome::kAccepted : MatchOutcome::kRejected)
         << s.ToString() << "\nphi size " << phi.size() << " trial " << trial;
-    tag_says ? ++accepted : ++rejected;
+    oracle_says ? ++accepted : ++rejected;
   }
   // The family must exercise both outcomes.
   EXPECT_GT(accepted, 10);
@@ -311,13 +318,14 @@ TEST_F(TagOracleDifferentialTest, AnchoredAgreesWithOracle) {
     for (std::size_t at : seq.OccurrencesOf(phi[root])) {
       MatchOptions anchored;
       anchored.anchored = true;
-      bool tag_says =
-          matcher.Accepts(seq.SuffixFrom(at), symbols, anchored);
       OracleOptions oracle_options;
       oracle_options.anchored_root_index = 0;  // relative to the suffix
       bool oracle_says =
           OccursBruteForce(s, phi, seq.SuffixFrom(at), oracle_options);
-      ASSERT_EQ(tag_says, oracle_says) << s.ToString() << " at=" << at;
+      ASSERT_EQ(matcher.Run(seq.SuffixFrom(at), symbols, anchored),
+                oracle_says ? MatchOutcome::kAccepted
+                            : MatchOutcome::kRejected)
+          << s.ToString() << " at=" << at;
       ++checked;
     }
   }

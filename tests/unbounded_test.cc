@@ -71,11 +71,11 @@ TEST_F(UnboundedTest, TagMatchesOpenBounds) {
   EventSequence close;
   close.Add(0, 10);
   close.Add(1, 12);
-  EXPECT_FALSE(matcher.Accepts(close.View(), symbols));
+  EXPECT_EQ(matcher.Run(close.View(), symbols), MatchOutcome::kRejected);
   EventSequence far;
   far.Add(0, 10);
   far.Add(1, 500);
-  EXPECT_TRUE(matcher.Accepts(far.View(), symbols));
+  EXPECT_EQ(matcher.Run(far.View(), symbols), MatchOutcome::kAccepted);
   // Agrees with the oracle.
   EXPECT_EQ(OccursBruteForce(s, {0, 1}, close.View()), false);
   EXPECT_EQ(OccursBruteForce(s, {0, 1}, far.View()), true);
@@ -122,7 +122,8 @@ TEST_F(UnboundedTest, FrontierStaysBoundedOnLongNonMatches) {
   }
   SymbolMap symbols = SymbolMap::FromAssignment({0, 1, 2, 3}, 4);
   MatchStats stats;
-  EXPECT_FALSE(matcher.Accepts(seq.View(), symbols, {}, &stats));
+  EXPECT_EQ(matcher.Run(seq.View(), symbols, {}, &stats),
+            MatchOutcome::kRejected);
   // Without expiry pruning the frontier would approach the number of events;
   // with it, it stays within the (|V|K)-ish envelope.
   EXPECT_LT(stats.peak_frontier, 200u);
@@ -145,7 +146,8 @@ TEST_F(UnboundedTest, OpenBoundGuardsNeverExpire) {
   for (int i = 1; i <= 5000; ++i) seq.Add(2, i * 10);  // noise for ages
   seq.Add(1, 60000);
   MatchStats stats;
-  EXPECT_TRUE(matcher.Accepts(seq.View(), symbols, {}, &stats));
+  EXPECT_EQ(matcher.Run(seq.View(), symbols, {}, &stats),
+            MatchOutcome::kAccepted);
 }
 
 }  // namespace

@@ -219,8 +219,13 @@ TEST_F(WindowsTest, TableAgreesWithPerWindowCounts) {
     }
   }
   ASSERT_GT(windows.size(), 64u);
-  const std::vector<std::vector<EventTypeId>> allowed = {
-      {0}, {4, 1, 3, 2, 1}, {2, 3, 4, 1}};
+  // σ as a caller may write it; the table reads it in the normal form.
+  DiscoveryProblem problem;
+  problem.structure = &s;
+  problem.allowed = {{}, {4, 1, 3, 2, 1}, {2, 3, 4, 1}};
+  const std::vector<std::vector<EventTypeId>> allowed =
+      ResolveAllowedTypes(problem, seq, x0);
+  ASSERT_EQ(allowed[x1], (std::vector<EventTypeId>{1, 2, 3, 4}));
 
   // The per-window count: does root i's v-window hold a usable event of
   // the type? Every event is tested, without a window search.
