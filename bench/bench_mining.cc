@@ -181,7 +181,8 @@ BENCHMARK(BM_Mining_FrozenTables)->Unit(benchmark::kMillisecond);
 // The perfbench mine-scan shape: the Example-1 structure with every non-root
 // variable free, over 10 trading days at confidence 0.3, steps 1-4 against a
 // frozen system. Each iteration mines the next of 16 seeded workloads, so
-// the counter is the mean TAG runs per mine across the set.
+// the counters are the mean TAG runs and matcher configurations per mine
+// across the set.
 void BM_Mining_StockScan(benchmark::State& state) {
   std::unique_ptr<GranularitySystem> system = GranularitySystem::Gregorian();
   if (!system->Freeze().ok()) {
@@ -207,17 +208,22 @@ void BM_Mining_StockScan(benchmark::State& state) {
   }
   Miner miner(system.get(), StepsUpTo(4));
   double tag_runs = 0;
+  double configs = 0;
   std::int64_t runs = 0;
   for (auto _ : state) {
     const std::size_t at = static_cast<std::size_t>(runs) % workloads.size();
     Result<MiningReport> report =
         miner.Mine(problems[at], workloads[at].sequence);
     benchmark::DoNotOptimize(report);
-    if (report.ok()) tag_runs += static_cast<double>(report->tag_runs);
+    if (report.ok()) {
+      tag_runs += static_cast<double>(report->tag_runs);
+      configs += static_cast<double>(report->matcher_configurations);
+    }
     ++runs;
   }
   if (runs > 0) {
     state.counters["tag_runs"] = tag_runs / static_cast<double>(runs);
+    state.counters["configs"] = configs / static_cast<double>(runs);
   }
 }
 BENCHMARK(BM_Mining_StockScan)->Unit(benchmark::kMicrosecond);

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <iterator>
+#include <map>
+#include <set>
 
 #include "granmine/common/check.h"
 #include "granmine/common/executor.h"
@@ -264,94 +265,60 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
     return report;
   }
 
-  // Step 3 per candidate; without step 3 every root is eligible.
-  const UsabilityTable every_root({}, root, surviving.size());
-  const UsabilityTable& eligibility =
-      options_.reduce_roots ? table : every_root;
-
-  // Step 5: one skeleton TAG for all candidates; anchored scans per root.
-  // The skeleton, the reduced sequence, the windows and the system caches
-  // are all read-only from here on, so the candidate space can fan out
-  // across threads; per-candidate outcomes are merged back in candidate
-  // (= lexicographic assignment) order, keeping the report deterministic.
+  // Step 5: one skeleton TAG for all candidates (Theorem 3). The skeleton,
+  // the reduced sequence, the windows and the system caches are all
+  // read-only from here on, so the work can fan out across threads; results
+  // are merged back in root and candidate (= lexicographic assignment)
+  // order, keeping the report deterministic.
   GM_ASSIGN_OR_RETURN(TagBuildResult skeleton,
                       BuildTagForStructure(structure));
   TagMatcher matcher(&skeleton.tag);
 
-  // Per-worker match scratches, sized for the pool the scan driver will run
+  // Per-worker match scratches, sized for the pool the runs fan out on
   // (worker 0 is the calling thread on the serial path).
   std::vector<MatchScratch> scratches(static_cast<std::size_t>(
       options_.executor != nullptr ? options_.executor->num_threads() : 1));
-  std::vector<std::vector<std::uint64_t>> masks(
-      scratches.size(), std::vector<std::uint64_t>(eligibility.words()));
 
-  // The verdict's own test; the cut-off asks it of matched + the eligible
-  // roots still to run.
+  // The anchored run at kept root i.
+  auto run_at = [&](std::size_t i, const SymbolMap& symbols, int worker,
+                    MatchStats* stats,
+                    std::vector<std::int64_t>* accepted = nullptr) {
+    MatchOptions match_options;
+    match_options.anchored = true;
+    match_options.max_configurations = options_.max_configurations_per_run;
+    match_options.governor = governor;
+    if (options_.use_window_deadlines && needs_windows) {
+      match_options.deadline = windows[i].deadline;
+    }
+    return matcher.Run(working.SuffixFrom(surviving[i]), symbols,
+                       match_options, stats,
+                       &scratches[static_cast<std::size_t>(worker)],
+                       accepted);
+  };
+  auto add_run = [](const MatchStats& stats, ScanOutcome* out) {
+    ++out->tag_runs;
+    out->configurations += stats.configurations;
+    out->transitions += stats.transitions;
+    out->kernel_groups += stats.groups_advanced;
+  };
+  auto stop_of = [](const MatchStats& stats) {
+    return stats.stopped != StopCause::kNone ? stats.stopped
+                                             : StopCause::kStepBudget;
+  };
+  auto excluded = [&](const std::vector<EventTypeId>& phi) {
+    for (const TypeConstraint& constraint : problem.type_constraints) {
+      if (!constraint.SatisfiedBy(phi)) return true;
+    }
+    return false;
+  };
   auto clears = [&](std::size_t matched) {
     return static_cast<double>(matched) /
                static_cast<double>(report.total_roots) >
            problem.min_confidence;
   };
-
-  // Evaluates one candidate φ; kUnknown sets *reason.
-  auto scan_candidate = [&](const std::vector<EventTypeId>& phi,
-                            std::uint64_t /*index*/, int worker,
-                            ScanOutcome* out, StopCause* reason) {
-    MatchScratch* scratch = &scratches[static_cast<std::size_t>(worker)];
-    for (const TypeConstraint& constraint : problem.type_constraints) {
-      if (!constraint.SatisfiedBy(phi)) {
-        ++out->refuted;  // statically excluded: decided without a scan
-        return CandidateFate::kDecided;
-      }
-    }
-    std::uint64_t* mask = masks[static_cast<std::size_t>(worker)].data();
-    std::size_t remaining = eligibility.EligibleRoots(phi, mask);
-    out->skipped_ineligible += surviving.size() - remaining;
-    std::size_t matched = 0;
-    // Step 3 on: refuted as soon as even every eligible root left could not
-    // lift φ past θ.
-    auto cut_off = [&] {
-      if (!options_.reduce_roots || clears(matched + remaining)) return false;
-      out->skipped_cutoff += remaining;
-      ++out->refuted;
-      return true;
-    };
-    if (cut_off()) return CandidateFate::kDecided;
-    SymbolMap symbols = SymbolMap::FromAssignment(phi, type_count);
-    for (std::size_t w = 0; w < eligibility.words(); ++w) {
-      for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
-        const std::size_t i =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        --remaining;
-        MatchOptions match_options;
-        match_options.anchored = true;
-        match_options.max_configurations =
-            options_.max_configurations_per_run;
-        match_options.governor = governor;
-        if (options_.use_window_deadlines && needs_windows) {
-          match_options.deadline = windows[i].deadline;
-        }
-        MatchStats stats;
-        MatchOutcome outcome =
-            matcher.Run(working.SuffixFrom(surviving[i]), symbols,
-                        match_options, &stats, scratch);
-        ++out->tag_runs;
-        out->configurations += stats.configurations;
-        out->transitions += stats.transitions;
-        out->kernel_groups += stats.groups_advanced;
-        if (outcome == MatchOutcome::kUnknown) {
-          *reason = stats.stopped != StopCause::kNone ? stats.stopped
-                                                      : StopCause::kStepBudget;
-          if (stats.budget_exhausted) out->budget_exhausted = true;
-          return CandidateFate::kUnknown;
-        }
-        if (outcome == MatchOutcome::kAccepted) {
-          ++matched;
-        } else if (cut_off()) {
-          return CandidateFate::kDecided;
-        }
-      }
-    }
+  // Records the verdict on a φ known to match exactly `matched` roots.
+  auto decide = [&](const std::vector<EventTypeId>& phi, std::size_t matched,
+                    ScanOutcome* out) {
     if (clears(matched)) {
       out->solutions.push_back(DiscoveredType{
           phi,
@@ -370,8 +337,124 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   scan_options.partial = partial;
   scan_options.governor = governor;
   scan_options.request_id = options_.request_id;
-  ScanMergeResult merged =
-      ScanCandidates(allowed, root, scan_total, scan_options, scan_candidate);
+  ScanMergeResult merged;
+  if (!options_.reduce_roots) {
+    // The per-candidate scan (the oracle of MinerOptions::Naive()): φ runs
+    // at every root under its own symbol map.
+    auto scan_candidate = [&](const std::vector<EventTypeId>& phi,
+                              std::uint64_t /*index*/, int worker,
+                              ScanOutcome* out, StopCause* reason) {
+      if (excluded(phi)) {
+        ++out->refuted;  // statically excluded: decided without a scan
+        return CandidateFate::kDecided;
+      }
+      const SymbolMap symbols = SymbolMap::FromAssignment(phi, type_count);
+      std::size_t matched = 0;
+      for (std::size_t i = 0; i < surviving.size(); ++i) {
+        MatchStats stats;
+        const MatchOutcome outcome = run_at(i, symbols, worker, &stats);
+        add_run(stats, out);
+        if (outcome == MatchOutcome::kUnknown) {
+          *reason = stop_of(stats);
+          if (stats.budget_exhausted) out->budget_exhausted = true;
+          return CandidateFate::kUnknown;
+        }
+        if (outcome == MatchOutcome::kAccepted) ++matched;
+      }
+      return decide(phi, matched, out);
+    };
+    merged =
+        ScanCandidates(allowed, root, scan_total, scan_options, scan_candidate);
+  } else {
+    // Phase A: one binding-carrying run per kept root serves every candidate
+    // at once. A finished run yields the distinct φ it accepted; a stopped
+    // run yields nothing, and its root joins U.
+    const SymbolMap shared = SymbolMap::FromAllowed(allowed, type_count);
+    const std::size_t n = allowed.size();
+    struct RootRun {
+      std::set<std::vector<EventTypeId>> accepted;
+      MatchStats stats;
+      bool stopped = false;
+    };
+    auto run_root = [&](std::size_t i, int worker) {
+      GM_TRACE_SPAN("mine_shared_run");
+      RootRun out;
+      std::vector<std::int64_t> rows;
+      out.stopped = run_at(i, shared, worker, &out.stats, &rows) ==
+                    MatchOutcome::kUnknown;
+      for (auto at = rows.begin(); !out.stopped && at != rows.end();
+           at += n) {
+        out.accepted.emplace(at, at + n);
+      }
+      return out;
+    };
+    std::vector<RootRun> runs;
+    if (options_.executor == nullptr) {
+      for (std::size_t i = 0; i < surviving.size(); ++i) {
+        runs.push_back(run_root(i, 0));
+      }
+    } else {
+      runs = options_.executor->ParallelMap<RootRun>(
+          surviving.size(), [&](std::size_t i, int worker) {
+            obs::RequestScope gm_obs_request(options_.request_id);
+            return run_root(i, worker);
+          });
+    }
+
+    // The tally, merged in root order: each accepted φ with the number of
+    // finished roots that accepted it, plus U and its first cause.
+    ScanOutcome run_totals;
+    std::map<std::vector<EventTypeId>, std::size_t> tally;
+    std::size_t stopped = 0;
+    StopCause stop = StopCause::kNone;
+    bool budget_exhausted = false;
+    for (const RootRun& run : runs) {
+      add_run(run.stats, &run_totals);
+      if (run.stopped && stopped++ == 0) {
+        stop = stop_of(run.stats);
+        budget_exhausted = run.stats.budget_exhausted;
+      }
+      for (const std::vector<EventTypeId>& phi : run.accepted) ++tally[phi];
+    }
+    // A refused tally is lost as if every run had stopped.
+    GovernorAllocator tally_arena(governor, GovernorScope::kMine);
+    if (StopCause cause = tally_arena.Charge(
+            0, tally.size() * (sizeof(*tally.begin()) +
+                               n * sizeof(EventTypeId)));
+        cause != StopCause::kNone) {
+      tally.clear();
+      stopped = surviving.size();
+      stop = cause;
+      budget_exhausted = false;
+    }
+
+    // Phase B: each φ is decided from the tally, without a TAG run. With m
+    // its tallied roots, φ matched between m and m + |U| roots.
+    auto tally_candidate = [&](const std::vector<EventTypeId>& phi,
+                               std::uint64_t /*index*/, int /*worker*/,
+                               ScanOutcome* out, StopCause* reason) {
+      if (excluded(phi)) {
+        ++out->refuted;
+        return CandidateFate::kDecided;
+      }
+      auto it = tally.find(phi);
+      const std::size_t matched = it != tally.end() ? it->second : 0;
+      if (stopped == 0) return decide(phi, matched, out);
+      if (!clears(matched + stopped)) {
+        ++out->refuted;
+        return CandidateFate::kDecided;
+      }
+      *reason = stop;
+      if (budget_exhausted) out->budget_exhausted = true;
+      return CandidateFate::kUnknown;
+    };
+    merged = ScanCandidates(allowed, root, scan_total, scan_options,
+                            tally_candidate);
+    merged.tag_runs += run_totals.tag_runs;
+    merged.configurations += run_totals.configurations;
+    merged.transitions += run_totals.transitions;
+    merged.kernel_groups += run_totals.kernel_groups;
+  }
   GM_RETURN_NOT_OK(FoldScanIntoReport(std::move(merged), scan_total, clamped,
                                       &report));
   return report;

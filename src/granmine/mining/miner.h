@@ -21,10 +21,11 @@ struct MinerOptions {
   /// Step 2: reduce the event sequence by definedness requirements.
   bool reduce_sequence = true;
   /// Step 3: discard reference occurrences whose derived windows are
-  /// unsatisfiable, then cut roots per candidate: step 5 runs φ only at
-  /// the roots where every φ(v) has a usable event in v's window, and stops
-  /// once φ can no longer clear min_confidence. Off, step 5 runs every
-  /// candidate at every reference occurrence.
+  /// unsatisfiable or hold no usable event for some variable. On, step 5
+  /// makes one binding-carrying TAG run per kept root for every candidate
+  /// at once and decides each candidate from the tally of accepted
+  /// bindings. Off, step 5 runs every candidate at every reference
+  /// occurrence under its own symbol map (the per-candidate oracle).
   bool reduce_roots = true;
   /// Step 4: screen candidate types through induced discovery problems up
   /// to this many non-root variables (0 = off; 1 = window screening;
@@ -63,13 +64,16 @@ struct MinerOptions {
   std::uint64_t max_candidates = 10'000'000;
   /// Cap on the number of k >= 2 induced problems evaluated.
   int max_induced_problems = 64;
-  /// Matcher budget per anchored run.
+  /// Matcher budget per anchored run: a per-candidate run without step 3,
+  /// and with step 3 the one shared run of a root, which serves every
+  /// candidate there.
   std::uint64_t max_configurations_per_run = 50'000'000;
-  /// Borrowed thread pool fanning the step-5 (candidate × reference
-  /// occurrence) TAG scans (the Engine threads its own here so every request
-  /// shares one pool). Null (the default) runs the serial path. Any pool
-  /// width yields the same MiningReport solutions in the same (lexicographic
-  /// assignment) order — results are merged back in candidate-index order.
+  /// Borrowed thread pool fanning step 5 — the shared runs over the kept
+  /// roots, then the candidate scan (the Engine threads its own here so
+  /// every request shares one pool). Null (the default) runs the serial
+  /// path. Any pool width yields the same MiningReport solutions in the same
+  /// (lexicographic assignment) order — results are merged back in root and
+  /// candidate-index order.
   Executor* executor = nullptr;
   /// Request id (obs/context.h) stamped by the Engine at admission; workers
   /// re-install it as their RequestScope so spans and log lines emitted from
@@ -88,16 +92,26 @@ struct MinerOptions {
 };
 
 /// The §5 discovery procedure: steps 1-4 shrink the search space, step 5
-/// scans the sequence with one anchored TAG run per (candidate, reference
-/// occurrence), using a single skeleton TAG for every candidate. Steps 3 and
-/// 4 read one window-usability table (screening.h): it drops hopeless roots,
-/// counts the k = 1 screening hits and, with step 3 on, limits each
-/// candidate's runs to the roots its types can match at; a candidate stops
-/// as soon as it cannot clear the threshold, and tag_runs counts only the
-/// runs made. With a `MinerOptions::executor` the step-5 scans fan out
-/// across that borrowed pool: the skeleton TAG, the reduced sequence, the
-/// table and the shared granularity caches are read-only by then, each
-/// worker keeps its own match scratch, and per-candidate results are merged
+/// decides every candidate with a single skeleton TAG (Theorem 3). Steps 3
+/// and 4 read one window-usability table (screening.h): it drops hopeless
+/// roots and counts the k = 1 screening hits.
+///
+/// With step 3 on, step 5 makes one binding-carrying anchored run per kept
+/// root (TagMatcher::Run with an `accepted` output): a step on variable X
+/// binds X to its event's type, and the run collects every binding that
+/// reaches acceptance. The tally counts, per accepted φ, the finished roots
+/// that accepted it (m); U is the set of roots whose run a budget stopped.
+/// The candidate scan then reads the tally and runs no TAG: φ is confirmed
+/// iff U is empty and m / total_roots > θ, refuted iff (m + |U|) /
+/// total_roots ≤ θ, and unknown with U's first cause (in root order)
+/// otherwise. A §6 type constraint refutes φ outright. tag_runs counts one
+/// run per kept root. Without step 3, φ runs at every root under its own
+/// symbol map — the per-candidate oracle.
+///
+/// With a `MinerOptions::executor` the shared runs and the candidate scan
+/// fan out across that borrowed pool: the skeleton TAG, the reduced
+/// sequence, the table and the shared granularity caches are read-only by
+/// then, each worker keeps its own match scratch, and results are merged
 /// deterministically.
 class Miner {
  public:

@@ -209,8 +209,6 @@ ScanMergeResult ScanCandidates(
     merged.configurations += out.configurations;
     merged.transitions += out.transitions;
     merged.kernel_groups += out.kernel_groups;
-    merged.skipped_ineligible += out.skipped_ineligible;
-    merged.skipped_cutoff += out.skipped_cutoff;
     merged.confirmed += out.confirmed;
     merged.refuted += out.refuted;
     merged.unknown += out.unknown;
@@ -235,6 +233,11 @@ ScanMergeResult ScanCandidates(
       }
     }
   }
+  return merged;
+}
+
+Status FoldScanIntoReport(ScanMergeResult merged, std::uint64_t scan_total,
+                          bool clamped, MiningReport* report) {
   // One flush per scan, from the deterministically merged totals — byte-
   // identical across thread counts and worth a handful of atomic adds even
   // on the hottest workloads (no per-candidate metric traffic).
@@ -248,19 +251,10 @@ ScanMergeResult ScanCandidates(
   GM_COUNTER_ADD("granmine_mine_candidates_total", "verdict=\"not-evaluated\"",
                  merged.not_evaluated);
   GM_COUNTER_ADD("granmine_mine_tag_runs_total", "", merged.tag_runs);
-  GM_COUNTER_ADD("granmine_mine_tag_runs_skipped_total",
-                 "reason=\"ineligible\"", merged.skipped_ineligible);
-  GM_COUNTER_ADD("granmine_mine_tag_runs_skipped_total", "reason=\"cutoff\"",
-                 merged.skipped_cutoff);
   GM_COUNTER_ADD("granmine_tag_configurations_total", "",
                  merged.configurations);
   GM_COUNTER_ADD("granmine_tag_transitions_total", "", merged.transitions);
   GM_COUNTER_ADD("granmine_tag_groups_total", "", merged.kernel_groups);
-  return merged;
-}
-
-Status FoldScanIntoReport(ScanMergeResult merged, std::uint64_t scan_total,
-                          bool clamped, MiningReport* report) {
   GM_RETURN_NOT_OK(merged.status);
   report->tag_runs += merged.tag_runs;
   report->matcher_configurations += merged.configurations;

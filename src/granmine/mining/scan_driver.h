@@ -54,11 +54,6 @@ struct ScanOutcome {
   /// from MatchStats by the evaluator; flushed to the obs layer on merge).
   std::uint64_t transitions = 0;
   std::uint64_t kernel_groups = 0;
-  /// TAG runs the evaluator decided without running: roots where some φ(v)
-  /// has no usable event in v's window, and roots left when the candidate
-  /// could no longer clear the confidence threshold.
-  std::uint64_t skipped_ineligible = 0;
-  std::uint64_t skipped_cutoff = 0;
   /// First cause (candidate order) that interrupted work in this range.
   StopCause first_stop = StopCause::kNone;
   /// The stopping candidate hit the matcher's local configuration budget
@@ -112,8 +107,6 @@ struct ScanMergeResult {
   std::uint64_t configurations = 0;
   std::uint64_t transitions = 0;
   std::uint64_t kernel_groups = 0;
-  std::uint64_t skipped_ineligible = 0;
-  std::uint64_t skipped_cutoff = 0;
   /// First stop cause in candidate order, kNone when nothing was interrupted.
   StopCause first_stop = StopCause::kNone;
   /// Abort mode only: the first interruption as a Status (OK under kPartial
@@ -135,10 +128,12 @@ ScanMergeResult ScanCandidates(
     std::uint64_t scan_total, const ScanDriverOptions& options,
     const CandidateEvaluator& evaluator);
 
-/// Folds a merged scan into `report` (runs, configurations, verdicts,
-/// solutions, unknown sample); with `clamped`, the candidates past
-/// `scan_total` are not evaluated and the stop defaults to kStepBudget.
-/// Returns the merged status, folding nothing when it is not OK.
+/// Flushes a merged scan's totals to the obs counters, then folds it into
+/// `report` (runs, configurations, verdicts, solutions, unknown sample);
+/// with `clamped`, the candidates past `scan_total` are not evaluated and
+/// the stop defaults to kStepBudget. Returns the merged status, folding
+/// nothing when it is not OK. A caller adds work done outside the candidate
+/// scan (the miner's shared runs) to `merged` first.
 Status FoldScanIntoReport(ScanMergeResult merged, std::uint64_t scan_total,
                           bool clamped, MiningReport* report);
 

@@ -121,26 +121,6 @@ void UsabilityTable::Screen(
   }
 }
 
-std::size_t UsabilityTable::EligibleRoots(const std::vector<EventTypeId>& phi,
-                                          std::uint64_t* mask) const {
-  std::fill(mask, mask + words_, ~std::uint64_t{0});
-  if (roots_ % 64 != 0) {
-    mask[words_ - 1] = (std::uint64_t{1} << (roots_ % 64)) - 1;
-  }
-  for (std::size_t v = 0; v < types_.size(); ++v) {
-    if (static_cast<VariableId>(v) == root_) continue;
-    const std::size_t type = TypeIndex(v, phi[v]);
-    GM_DCHECK(type < types_[v].size());
-    const std::uint64_t* row = bits_.data() + Word(v, type, 0);
-    for (std::size_t w = 0; w < words_; ++w) mask[w] &= row[w];
-  }
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < words_; ++w) {
-    count += static_cast<std::size_t>(std::popcount(mask[w]));
-  }
-  return count;
-}
-
 void ScreenByWindows(const PropagationResult& propagation,
                      const EventSequence& sequence,
                      const std::vector<RootWindows>& windows,

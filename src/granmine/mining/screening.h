@@ -17,22 +17,17 @@ namespace granmine {
 /// form (sorted, distinct), so v's rows are σ(v)'s positions one to one.
 /// Column i is the i-th root kept, and a bit is set iff that root's v-window
 /// holds an E-event passing UsableForVariable.
-/// Step 3 drops roots with it (Build), step 4 at k = 1 counts a row's bits
-/// (Screen), and a candidate is eligible at the AND of its rows
-/// (EligibleRoots).
+/// Step 3 drops roots with it (Build), and step 4 at k = 1 counts a row's
+/// bits (Screen).
 class UsabilityTable {
  public:
   /// Rows for every non-root v and every type of allowed[v] (each sorted
-  /// and distinct) and `max_roots` columns, no bits until Build. A table
-  /// without rows (`allowed` empty) needs no Build: each of its columns is
-  /// eligible for every candidate.
+  /// and distinct) and `max_roots` columns, no bits until Build.
   UsabilityTable(const std::vector<std::vector<EventTypeId>>& allowed,
                  VariableId root, std::size_t max_roots);
 
   /// Bytes Build allocates; a governed caller charges them first.
   std::size_t bytes() const { return rows_ * words_ * sizeof(std::uint64_t); }
-  /// 64-bit words per row, and of an EligibleRoots mask.
-  std::size_t words() const { return words_; }
 
   /// Fills one column per entry of `windows` (at most `max_roots`) and
   /// returns the indices of the entries kept: column i is windows[kept[i]].
@@ -50,12 +45,6 @@ class UsabilityTable {
   /// so a pruned type is in no solution.
   void Screen(std::size_t total_roots, double min_confidence,
               std::vector<std::vector<EventTypeId>>* allowed) const;
-
-  /// Writes the columns where every φ(v) has a set row into `mask`
-  /// (words() words) and returns how many there are. Each φ(v) must be a
-  /// type of v's rows.
-  std::size_t EligibleRoots(const std::vector<EventTypeId>& phi,
-                            std::uint64_t* mask) const;
 
  private:
   // Sets `column` in v's rows of the types with an event usable for v in

@@ -27,6 +27,20 @@ SymbolMap SymbolMap::FromAssignment(const std::vector<EventTypeId>& phi,
   return map;
 }
 
+SymbolMap SymbolMap::FromAllowed(
+    const std::vector<std::vector<EventTypeId>>& allowed, int type_count) {
+  SymbolMap map;
+  map.symbols_by_type.resize(static_cast<std::size_t>(type_count));
+  for (std::size_t v = 0; v < allowed.size(); ++v) {
+    for (EventTypeId type : allowed[v]) {
+      GM_CHECK(type >= 0 && type < type_count);
+      map.symbols_by_type[static_cast<std::size_t>(type)].push_back(
+          static_cast<Symbol>(v));
+    }
+  }
+  return map;
+}
+
 std::span<const Symbol> SymbolMap::SymbolsFor(EventTypeId type) const {
   if (type < 0 || type >= static_cast<int>(symbols_by_type.size())) {
     return {};
@@ -39,7 +53,9 @@ TagMatcher::TagMatcher(const Tag* tag) : kernel_(tag) {}
 MatchOutcome TagMatcher::Run(std::span<const Event> events,
                              const SymbolMap& symbols,
                              const MatchOptions& options, MatchStats* stats,
-                             MatchScratch* scratch) const {
+                             MatchScratch* scratch,
+                             std::vector<std::int64_t>* accepted) const {
+  GM_CHECK(accepted == nullptr || options.anchored);
   MatchStats local_stats;
   MatchStats& st = stats != nullptr ? *stats : local_stats;
   st = MatchStats{};
@@ -57,6 +73,15 @@ MatchOutcome TagMatcher::Run(std::span<const Event> events,
   MatchScratch& s = scratch != nullptr ? *scratch : local_scratch;
 
   const Tag& tag = kernel_.tag();
+  const std::size_t accepted_before =
+      accepted != nullptr ? accepted->size() : 0;
+  // A run that ends without a stop: accepted iff it appended a binding
+  // (a plain run returns kAccepted from the group that accepted).
+  auto finished = [&] {
+    return accepted != nullptr && accepted->size() > accepted_before
+               ? MatchOutcome::kAccepted
+               : MatchOutcome::kRejected;
+  };
 
   // Empty input: accepted iff a start state is accepting (and the run is
   // not required to anchor on a first event).
@@ -90,19 +115,19 @@ MatchOutcome TagMatcher::Run(std::span<const Event> events,
     switch (kernel_.AdvanceGroup(
         events.subspan(group_start, group_end - group_start), symbols,
         options.anchored, &s.run_, &s.kernel_, &st, options.max_configurations,
-        &ticket, &arena)) {
+        &ticket, &arena, accepted)) {
       case TagKernel::GroupOutcome::kAccepted:
         return MatchOutcome::kAccepted;
       case TagKernel::GroupOutcome::kStopped:
         return MatchOutcome::kUnknown;
       case TagKernel::GroupOutcome::kDead:
-        return MatchOutcome::kRejected;  // no run recovers
+        return finished();  // no run recovers
       case TagKernel::GroupOutcome::kAdvanced:
         break;
     }
     group_start = group_end;
   }
-  return MatchOutcome::kRejected;
+  return finished();
 }
 
 }  // namespace granmine

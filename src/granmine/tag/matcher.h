@@ -49,10 +49,19 @@ class TagMatcher {
 
   /// Simulates the TAG over `events` and reports the three-valued outcome.
   /// `scratch`, when given, must not be used concurrently by another thread.
+  ///
+  /// With `accepted` the run carries bindings (TagKernel::AdvanceGroup): it
+  /// does not stop at an acceptance but appends every accepted binding
+  /// (binding_width() values each, repeats included) to `*accepted` until
+  /// its frontier dies, its deadline passes or the events end, and returns
+  /// kAccepted iff it appended one. A budget stop still returns kUnknown,
+  /// and what it appended is then a lower bound. Such a run must be
+  /// anchored; `max_configurations` bounds it as it bounds any run.
   MatchOutcome Run(std::span<const Event> events, const SymbolMap& symbols,
                    const MatchOptions& options = MatchOptions{},
                    MatchStats* stats = nullptr,
-                   MatchScratch* scratch = nullptr) const;
+                   MatchScratch* scratch = nullptr,
+                   std::vector<std::int64_t>* accepted = nullptr) const;
 
   /// The shared transition kernel (also used by stream::IncrementalMatcher).
   const TagKernel& kernel() const { return kernel_; }

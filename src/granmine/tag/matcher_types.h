@@ -25,6 +25,10 @@ struct SymbolMap {
   /// type E -> { v : phi[v] == E }.
   static SymbolMap FromAssignment(const std::vector<EventTypeId>& phi,
                                   int type_count);
+  /// type E -> { v : E ∈ allowed[v] }: every candidate φ over `allowed` at
+  /// once, for a binding-carrying run.
+  static SymbolMap FromAllowed(
+      const std::vector<std::vector<EventTypeId>>& allowed, int type_count);
 
   std::span<const Symbol> SymbolsFor(EventTypeId type) const;
 };

@@ -72,6 +72,9 @@ TagKernel::TagKernel(const Tag* tag)
       // Valuation rows are indexed by clock without further checks.
       for (int c : tr.guard.MentionedClocks()) GM_CHECK(c < clocks);
       for (int c : tr.resets) GM_CHECK(c >= 0 && c < clocks);
+      GM_CHECK(tr.symbol >= 0);
+      binding_width_ = std::max(binding_width_,
+                                static_cast<std::size_t>(tr.symbol) + 1);
       steps_.push_back(Step{tr.to, tr.symbol, tag_->IsAccepting(tr.to),
                             CompiledGuard(tr.guard), tr.resets});
     }
@@ -130,13 +133,16 @@ TagKernel::GroupOutcome TagKernel::AdvanceGroup(
     std::span<const Event> group, const SymbolMap& symbols, bool anchored,
     TagRunState* run, TagKernelScratch* scratch, MatchStats* stats,
     std::uint64_t max_configurations, GovernorTicket* ticket,
-    GovernorAllocator* arena) const {
+    GovernorAllocator* arena, std::vector<std::int64_t>* accepted) const {
   GM_CHECK(!group.empty());
   MatchStats& st = *stats;
   const std::size_t clocks = clock_count();
-  const std::size_t width = row_width();
+  // Binding slots sit after the resets: [state, resets.., bindings..].
+  const std::size_t binding_at = row_width();
+  const std::size_t bindings = accepted != nullptr ? binding_width_ : 0;
+  const std::size_t width = binding_at + bindings;
   const std::uint64_t config_bytes =
-      kGovernedConfigBaseBytes + clocks * sizeof(std::int64_t);
+      kGovernedConfigBaseBytes + (clocks + bindings) * sizeof(std::int64_t);
   st.events_scanned += group.size();
   ++st.groups_advanced;
 
@@ -165,13 +171,15 @@ TagKernel::GroupOutcome TagKernel::AdvanceGroup(
   const bool seeding = !run->seeded;
   if (seeding) {
     // Clocks read 0 at the first event (§4 initiation). Start states are
-    // sorted and the resets equal, so the rows are canonical as written.
+    // sorted and the resets and bindings equal, so the rows are canonical as
+    // written.
     frontier.clear();
     for (int state : start_states_) {
       frontier.push_back(state);
       for (std::size_t c = 0; c < clocks; ++c) {
         frontier.push_back(now[clock_granularity_[c]]);
       }
+      frontier.insert(frontier.end(), bindings, kUnbound);
     }
     st.configurations += start_states_.size();
     if (arena != nullptr) {
@@ -257,11 +265,24 @@ TagKernel::GroupOutcome TagKernel::AdvanceGroup(
                       step.symbol) == event_symbols.end()) {
           continue;
         }
+        const std::size_t slot =
+            binding_at + static_cast<std::size_t>(step.symbol);
+        if (bindings != 0 && node[slot] != kUnbound && node[slot] != type) {
+          continue;
+        }
         if (!step.guard.IsSatisfied(values)) continue;
         ++st.transitions;
-        if (step.accepting) return GroupOutcome::kAccepted;
+        if (step.accepting) {
+          if (bindings == 0) return GroupOutcome::kAccepted;
+          const std::size_t at = accepted->size();
+          accepted->insert(accepted->end(), node.begin() + binding_at,
+                           node.begin() + width);
+          (*accepted)[at + slot - binding_at] = type;
+          continue;
+        }
         successor = node;
         successor[0] = step.to;
+        if (bindings != 0) successor[slot] = type;
         for (int c : step.resets) {
           successor[1 + static_cast<std::size_t>(c)] =
               now[clock_granularity_[static_cast<std::size_t>(c)]];

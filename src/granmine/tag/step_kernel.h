@@ -21,10 +21,14 @@ inline constexpr std::int64_t kUndefinedTick =
     std::numeric_limits<std::int64_t>::min();
 
 /// Bytes the memory budget charges per configuration on top of its 8-byte
-/// per-clock resets: a configuration was once a 32-byte node (an int state
-/// plus a heap reset vector) and the budget's trip points are pinned to that
-/// footprint, so a given budget stops the same runs at the same indices.
+/// per-clock resets (and, in a binding-carrying run, its 8-byte binding
+/// slots): a configuration was once a 32-byte node (an int state plus a heap
+/// reset vector) and the budget's trip points are pinned to that footprint,
+/// so a given budget stops the same runs at the same indices.
 inline constexpr std::uint64_t kGovernedConfigBaseBytes = 32;
+
+/// Binding slot value of a variable a binding-carrying run has not consumed.
+inline constexpr std::int64_t kUnbound = -1;
 
 /// The resident state of one (possibly incremental) TAG run between
 /// equal-timestamp groups: the configuration frontier plus whether the run
@@ -36,9 +40,10 @@ inline constexpr std::uint64_t kGovernedConfigBaseBytes = 32;
 /// frontier stores configurations as fixed-stride rows `[state, reset_0 ..
 /// reset_{C-1}]` (TagKernel::row_width() values each), sorted and distinct
 /// in (state, resets) order — the order the closure explores them in and
-/// the checkpoint codec writes them in. Copyable as a plain vector: a
-/// streaming snapshot clones pending runs to flush the reorder buffer
-/// without committing it.
+/// the checkpoint codec writes them in. A binding-carrying run appends
+/// TagKernel::binding_width() binding slots to each row (see AdvanceGroup).
+/// Copyable as a plain vector: a streaming snapshot clones pending runs to
+/// flush the reorder buffer without committing it.
 struct TagRunState {
   std::vector<std::int64_t> frontier;
   bool seeded = false;
@@ -61,9 +66,9 @@ struct TagKernelScratch {
   std::vector<std::int64_t> values;
   std::vector<std::int64_t> node;
   std::vector<std::int64_t> successor;
-  // The within-group closure: node rows [state, resets.., used[T]..,
-  // pre_anchor] back to back, an open-addressing table of node ids + 1
-  // (0 = empty), and the LIFO stack of unexpanded node ids.
+  // The within-group closure: node rows [state, resets.., bindings..,
+  // used[T].., pre_anchor] back to back, an open-addressing table of node
+  // ids + 1 (0 = empty), and the LIFO stack of unexpanded node ids.
   std::vector<std::int64_t> nodes;
   std::vector<std::uint32_t> table;
   std::vector<std::uint32_t> stack;
@@ -102,6 +107,9 @@ class TagKernel {
   std::size_t clock_count() const { return clock_granularity_.size(); }
   /// Values per frontier row: the state plus one reset per clock.
   std::size_t row_width() const { return clock_count() + 1; }
+  /// Binding slots per row of a binding-carrying run: one per symbol
+  /// 0 .. (largest labeled symbol), i.e. one per variable of a skeleton TAG.
+  std::size_t binding_width() const { return binding_width_; }
   /// Configurations in `run`'s frontier.
   std::size_t FrontierSize(const TagRunState& run) const {
     return run.frontier.size() / row_width();
@@ -110,7 +118,8 @@ class TagKernel {
   /// What one group advance decided about the run.
   enum class GroupOutcome {
     kAdvanced,  ///< run continues; frontier updated
-    kAccepted,  ///< an accepting state was entered (run decided; frontier stale)
+    kAccepted,  ///< an accepting state was entered (run decided; frontier
+                ///< stale); never returned by a binding-carrying run
     kDead,      ///< frontier empty after the group — no run can ever recover
     kStopped,   ///< budget/governor stop; stats->stopped has the cause
   };
@@ -127,13 +136,26 @@ class TagKernel {
   /// per clock for each created configuration against the governor's memory
   /// budget at the same index; a refusal stops the run with the refusal
   /// cause (kMemBudget or an injected alloc failure), never a wrong verdict.
+  ///
+  /// With `accepted` non-null the run carries bindings (binding width B =
+  /// binding_width(); without it B = 0 and nothing below applies). Each row
+  /// becomes `[state, resets.., binding_0 .. binding_{B-1}]`, seeded with
+  /// every slot kUnbound and deduplicated on all three parts. A step on
+  /// symbol X takes an event of type T when X is in `symbols.SymbolsFor(T)`
+  /// and binding_X is kUnbound or T, and writes binding_X = T. A step into
+  /// an accepting state appends its B binding values to `*accepted` and the
+  /// closure goes on, so the group never returns kAccepted: the caller reads
+  /// every accepted binding once the frontier dies or its deadline passes.
+  /// The memory charge per configuration adds 8 bytes per binding slot.
   GroupOutcome AdvanceGroup(std::span<const Event> group,
                             const SymbolMap& symbols, bool anchored,
                             TagRunState* run, TagKernelScratch* scratch,
                             MatchStats* stats,
                             std::uint64_t max_configurations,
                             GovernorTicket* ticket,
-                            GovernorAllocator* arena = nullptr) const;
+                            GovernorAllocator* arena = nullptr,
+                            std::vector<std::int64_t>* accepted =
+                                nullptr) const;
 
  private:
   /// A labeled transition with its guard compiled.
@@ -163,6 +185,7 @@ class TagKernel {
   std::vector<Step> steps_;
   std::vector<std::uint32_t> step_begin_;
   std::vector<int> start_states_;  ///< sorted
+  std::size_t binding_width_ = 0;
 };
 
 }  // namespace granmine

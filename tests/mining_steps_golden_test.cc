@@ -1,15 +1,15 @@
 // Golden pin of the miner's §5 steps (src/granmine/mining/miner.cc): for
 // seeded discovery problems under every MinerOptions ablation, each mine's
-// step counters, its verdict buckets, its solutions in order and the step-5
-// skipped-run counters must equal the recorded values in
+// step counters, its verdict buckets, its solutions in order and the TAG
+// runs the obs counter saw must equal the recorded values in
 // tests/golden/mining_steps.txt.
 //
 // Solutions alone are pinned by AblationsAgreeWithNaive; this pins how the
 // miner gets there: how many roots step 3 keeps, how many candidates step 4
-// keeps, how many TAG runs and configurations step 5 spends, and how many
-// runs the per-candidate eligibility and the confidence cut-off skip. A
-// rewrite of steps 3 and 4 that keeps the answers but changes the work
-// fails here.
+// keeps, and how many TAG runs and configurations step 5 spends — one
+// per-candidate run per (candidate, root) without step 3, one shared run
+// per kept root with it. A rewrite of steps 3 to 5 that keeps the answers
+// but changes the work fails here.
 //
 // The problems are
 //  - the AblationsAgreeWithNaive family: random 3-variable structures over a
@@ -47,16 +47,14 @@ namespace {
 // with GRANMINE_OBS=OFF compares only what precedes it.
 constexpr char kCounterMarker[] = " |";
 
-std::uint64_t SkippedRuns(const char* reason) {
+std::uint64_t CountedTagRuns() {
 #if GRANMINE_OBS_ENABLED
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().Snapshot();
   const obs::MetricValue* metric =
-      snapshot.Find("granmine_mine_tag_runs_skipped_total",
-                    std::string("reason=\"") + reason + "\"");
+      snapshot.Find("granmine_mine_tag_runs_total", "");
   return metric == nullptr ? 0 : metric->value;
 #else
-  (void)reason;
   return 0;
 #endif
 }
@@ -90,8 +88,7 @@ class StepCorpus {
     std::size_t all_roots = 0;
     std::uint64_t all_candidates = 0;
     for (const auto& [name, options] : Variants()) {
-      const std::uint64_t ineligible = SkippedRuns("ineligible");
-      const std::uint64_t cutoff = SkippedRuns("cutoff");
+      const std::uint64_t counted = CountedTagRuns();
       Miner miner(system, options);
       Result<MiningReport> report = miner.Mine(problem, seq);
       ASSERT_TRUE(report.ok()) << id << " " << name << ": "
@@ -109,10 +106,18 @@ class StepCorpus {
         for (EventTypeId type : solution.assignment) os << type << ",";
         os << solution.matched_roots << "]";
       }
-      os << kCounterMarker << " ineligible="
-         << SkippedRuns("ineligible") - ineligible
-         << " cutoff=" << SkippedRuns("cutoff") - cutoff;
+      os << kCounterMarker << " counted=" << CountedTagRuns() - counted;
+#if GRANMINE_OBS_ENABLED
+      EXPECT_EQ(CountedTagRuns() - counted, report->tag_runs)
+          << id << " " << name;
+#endif
       lines_.push_back(os.str());
+      if ((name == "default" || name == "m4" || name == "m5" ||
+           name == "m6" || name == "m7") &&
+          report->candidates_after_screening > 0 &&
+          report->tag_runs != report->roots_after_reduction) {
+        ++unshared_;
+      }
       if (name == "m0") {
         all_roots = report->roots_after_reduction;
         all_candidates = report->candidates_after_screening;
@@ -131,11 +136,15 @@ class StepCorpus {
   // Problems where step 3 alone dropped a root / step 4 alone a candidate.
   int reduced() const { return reduced_; }
   int screened() const { return screened_; }
+  // Lines with step 3 on, no nested screening and a candidate left whose
+  // TAG runs are not one per kept root.
+  int unshared() const { return unshared_; }
 
  private:
   std::vector<std::string> lines_;
   int reduced_ = 0;
   int screened_ = 0;
+  int unshared_ = 0;
 };
 
 // The AblationsAgreeWithNaive family, generated by the same seed and draws.
@@ -281,22 +290,17 @@ TEST(MiningStepsGoldenTest, StepCountersMatchTheRecordedCorpus) {
 #endif
   ASSERT_FALSE(HasFatalFailure());
 
-  // The corpus must reach what it claims to pin: solutions, step-3
-  // reduction and step-4 screening that each prune alone, and both kinds of
-  // skipped run.
-  int with_solutions = 0, ineligible = 0, cutoff = 0;
+  // The corpus must reach what it claims to pin: solutions, and step-3
+  // reduction and step-4 screening that each prune alone. With step 3 on
+  // (and no nested mines) step 5 makes exactly one run per kept root.
+  int with_solutions = 0;
   for (const std::string& line : corpus.lines()) {
     if (line.find("sol=[") != std::string::npos) ++with_solutions;
-    if (line.find(" ineligible=0 ") == std::string::npos) ++ineligible;
-    if (!line.ends_with(" cutoff=0")) ++cutoff;
   }
   EXPECT_GT(with_solutions, 100);
   EXPECT_GT(corpus.reduced(), 10);
   EXPECT_GT(corpus.screened(), 10);
-#if GRANMINE_OBS_ENABLED
-  EXPECT_GT(ineligible, 50);
-  EXPECT_GT(cutoff, 50);
-#endif
+  EXPECT_EQ(corpus.unshared(), 0);
 
   const std::string golden_path =
       std::string(GRANMINE_TEST_GOLDEN_DIR) + "/mining_steps.txt";

@@ -16,14 +16,14 @@
 namespace granmine {
 namespace {
 
-// Solutions as comparable (assignment, matched) pairs.
+// Solutions as comparable (assignment, matched) pairs, in report order:
+// every path reports them in lexicographic assignment order.
 std::vector<std::pair<std::vector<EventTypeId>, std::size_t>> Normalize(
     const MiningReport& report) {
   std::vector<std::pair<std::vector<EventTypeId>, std::size_t>> out;
   for (const DiscoveredType& d : report.solutions) {
     out.emplace_back(d.assignment, d.matched_roots);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -179,11 +179,10 @@ TEST_F(StockMiningTest, RepeatedUnsortedSigmaIsASet) {
             3 * workload.sequence.DistinctTypes().size());
 }
 
-TEST_F(StockMiningTest, MineScanShapeSkipsRunsThatCannotMatch) {
+TEST_F(StockMiningTest, MineScanShapeMakesOneRunPerKeptRoot) {
   // The serving benchmark's mine-scan request: every non-root variable free,
-  // 10 trading days, θ 0.3. Step 5 runs a candidate only at the roots where
-  // each of its types has a usable event in the variable's window, and stops
-  // once it can no longer clear θ.
+  // 10 trading days, θ 0.3. Step 5 makes one binding-carrying run per root
+  // step 3 keeps and decides every candidate from its tally.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     StockWorkloadOptions options;
     options.trading_days = 10;
@@ -203,11 +202,9 @@ TEST_F(StockMiningTest, MineScanShapeSkipsRunsThatCannotMatch) {
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_EQ(Normalize(*naive_report), Normalize(*report)) << "seed=" << seed;
     EXPECT_FALSE(report->solutions.empty()) << "seed=" << seed;
-    // Fewer runs than one per (screened candidate, surviving root).
-    EXPECT_LT(report->tag_runs, report->candidates_after_screening *
-                                    report->roots_after_reduction)
+    EXPECT_GT(report->candidates_after_screening, 1u) << "seed=" << seed;
+    EXPECT_EQ(report->tag_runs, report->roots_after_reduction)
         << "seed=" << seed;
-    EXPECT_LT(report->tag_runs, naive_report->tag_runs);
 
     Executor pool(4);
     MinerOptions four;
@@ -290,10 +287,77 @@ class ToyMiningTest : public testing::Test {
   const Granularity* gapped_;
 };
 
+// Mines `problem` at each θ naively and under every ablation mask, and
+// requires every mask to report the naive solutions in the same order.
+// Returns how many θ had a solution.
+int ExpectAblationsAgree(GranularitySystem* system,
+                         const DiscoveryProblem& problem,
+                         const EventSequence& seq,
+                         const std::vector<double>& thetas,
+                         const std::string& context) {
+  int nonempty = 0;
+  DiscoveryProblem at = problem;
+  for (double theta : thetas) {
+    at.min_confidence = theta;
+    Miner naive(system, MinerOptions::Naive());
+    auto baseline = naive.Mine(at, seq);
+    EXPECT_TRUE(baseline.ok()) << baseline.status();
+    if (!baseline.ok()) return nonempty;
+    if (!baseline->solutions.empty()) ++nonempty;
+    for (std::size_t i = 1; i < baseline->solutions.size(); ++i) {
+      EXPECT_LT(baseline->solutions[i - 1].assignment,
+                baseline->solutions[i].assignment);
+    }
+
+    for (int mask = 1; mask < 16; ++mask) {
+      MinerOptions options = MinerOptions::Naive();
+      options.check_consistency = mask & 1;
+      options.reduce_sequence = mask & 2;
+      options.reduce_roots = mask & 4;
+      options.screening_depth = (mask & 8) ? 2 : 0;
+      options.use_window_deadlines = mask & 4;
+      Miner ablated(system, options);
+      auto report = ablated.Mine(at, seq);
+      EXPECT_TRUE(report.ok()) << report.status();
+      if (!report.ok()) return nonempty;
+      EXPECT_EQ(Normalize(*baseline), Normalize(*report))
+          << context << "\nmask=" << mask << " theta=" << theta;
+      if (testing::Test::HasFailure()) return nonempty;
+    }
+  }
+  return nonempty;
+}
+
+// One random §6 constraint over two distinct variables of `n`.
+TypeConstraint RandomConstraint(Rng& rng, int n) {
+  TypeConstraint constraint;
+  constraint.kind = rng.Bernoulli(0.5) ? TypeConstraint::Kind::kSameType
+                                       : TypeConstraint::Kind::kDifferentType;
+  constraint.a = static_cast<VariableId>(rng.Uniform(0, n - 1));
+  constraint.b = static_cast<VariableId>(rng.Uniform(0, n - 2));
+  if (constraint.b >= constraint.a) ++constraint.b;
+  return constraint;
+}
+
+std::vector<double> ThetasFor(Rng& rng, std::size_t total) {
+  // One random θ, then θ exactly k / total_roots for every k: a candidate
+  // matching k roots sits on the threshold, where the strict > refutes it.
+  std::vector<double> thetas = {0.05 + 0.3 * rng.UniformReal()};
+  for (std::size_t k = 0; k <= total; ++k) {
+    thetas.push_back(static_cast<double>(k) / static_cast<double>(total));
+  }
+  return thetas;
+}
+
 TEST_F(ToyMiningTest, AblationsAgreeWithNaive) {
+  // The structure and sequence draws are those of the mining_steps golden
+  // corpus; the §6 constraints come from a second generator so that the two
+  // families stay the same.
   Rng rng(4242);
+  Rng constraint_rng(977);
   const Granularity* types[] = {unit_, three_, gapped_};
   int nonempty = 0;
+  int constrained_nonempty = 0;
   for (int trial = 0; trial < 25; ++trial) {
     // Random rooted structure over 3 variables.
     EventStructure s;
@@ -307,7 +371,6 @@ TEST_F(ToyMiningTest, AblationsAgreeWithNaive) {
                       .ok());
     }
     if (!s.FindRoot().ok()) continue;
-    VariableId root = *s.FindRoot();
 
     const int kTypeCount = 3;
     EventSequence seq;
@@ -322,38 +385,69 @@ TEST_F(ToyMiningTest, AblationsAgreeWithNaive) {
     problem.reference_type = 0;
     const std::size_t total = seq.CountOf(0);
     if (total == 0) continue;
-
-    // One random θ, then θ exactly k / total_roots for every k: a candidate
-    // matching k roots sits on the threshold, where the strict > refutes it
-    // and the step-5 cut-off must agree.
-    std::vector<double> thetas = {0.05 + 0.3 * rng.UniformReal()};
-    for (std::size_t k = 0; k <= total; ++k) {
-      thetas.push_back(static_cast<double>(k) / static_cast<double>(total));
-    }
-    for (double theta : thetas) {
-      problem.min_confidence = theta;
-      Miner naive(&toy_, MinerOptions::Naive());
-      auto baseline = naive.Mine(problem, seq);
-      ASSERT_TRUE(baseline.ok()) << baseline.status();
-      if (!baseline->solutions.empty()) ++nonempty;
-
-      for (int mask = 1; mask < 16; ++mask) {
-        MinerOptions options = MinerOptions::Naive();
-        options.check_consistency = mask & 1;
-        options.reduce_sequence = mask & 2;
-        options.reduce_roots = mask & 4;
-        options.screening_depth = (mask & 8) ? 2 : 0;
-        options.use_window_deadlines = mask & 4;
-        Miner ablated(&toy_, options);
-        auto report = ablated.Mine(problem, seq);
-        ASSERT_TRUE(report.ok()) << report.status();
-        ASSERT_EQ(Normalize(*baseline), Normalize(*report))
-            << s.ToString() << "\nmask=" << mask << " trial=" << trial
-            << " theta=" << problem.min_confidence << " root=" << root;
-      }
-    }
+    const std::vector<double> thetas = ThetasFor(rng, total);
+    const std::string context =
+        s.ToString() + "\ntrial=" + std::to_string(trial);
+    nonempty += ExpectAblationsAgree(&toy_, problem, seq, thetas, context);
+    ASSERT_FALSE(HasFailure());
+    problem.type_constraints = {RandomConstraint(constraint_rng, n)};
+    constrained_nonempty += ExpectAblationsAgree(
+        &toy_, problem, seq, thetas, context + " constrained");
+    ASSERT_FALSE(HasFailure());
   }
   EXPECT_GT(nonempty, 5);  // the family exercises real discoveries
+  EXPECT_GT(constrained_nonempty, 5);
+}
+
+TEST_F(ToyMiningTest, TwoChainAblationsAgreeWithNaive) {
+  // Four variables over two chains: X1 and X2 both follow the root and are
+  // unordered, and X3 follows X1, X2 or both, so the skeleton TAG is a
+  // product and one run binds variables of both chains.
+  Rng rng(6061);
+  const Granularity* types[] = {unit_, three_, gapped_};
+  auto tcg = [&] {
+    std::int64_t lo = rng.Uniform(0, 2);
+    return Tcg::Of(lo, lo + rng.Uniform(0, 3), types[rng.Index(3)]);
+  };
+  int nonempty = 0;
+  int crossing = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    EventStructure s;
+    for (int v = 0; v < 4; ++v) s.AddVariable("X" + std::to_string(v));
+    ASSERT_TRUE(s.AddConstraint(0, 1, tcg()).ok());
+    ASSERT_TRUE(s.AddConstraint(0, 2, tcg()).ok());
+    const std::int64_t parents = rng.Uniform(0, 2);
+    if (parents != 1) {
+      ASSERT_TRUE(s.AddConstraint(1, 3, tcg()).ok());
+    }
+    if (parents != 0) {
+      ASSERT_TRUE(s.AddConstraint(2, 3, tcg()).ok());
+    }
+    ASSERT_TRUE(s.FindRoot().ok());
+    crossing += parents == 2;
+
+    const int kTypeCount = 3;
+    EventSequence seq;
+    TimePoint t = 0;
+    for (int i = 0; i < 36; ++i) {
+      t += rng.Uniform(0, 2);
+      seq.Add(static_cast<EventTypeId>(rng.Uniform(0, kTypeCount - 1)), t);
+    }
+    DiscoveryProblem problem;
+    problem.structure = &s;
+    problem.reference_type = 0;
+    const std::size_t total = seq.CountOf(0);
+    if (total == 0) continue;
+    if (rng.Bernoulli(0.5)) {
+      problem.type_constraints = {RandomConstraint(rng, 4)};
+    }
+    nonempty += ExpectAblationsAgree(
+        &toy_, problem, seq, ThetasFor(rng, total),
+        s.ToString() + "\ntrial=" + std::to_string(trial));
+    ASSERT_FALSE(HasFailure());
+  }
+  EXPECT_GT(nonempty, 5);
+  EXPECT_GT(crossing, 0);
 }
 
 TEST_F(ToyMiningTest, EmptyReferenceYieldsEmptyReport) {

@@ -298,8 +298,10 @@ TEST_F(ObsTest, SpanStraddlingADisableIsDroppedNotCorrupted) {
 // family except granmine_executor_* — whose chunk accounting legitimately
 // depends on the worker count — must be byte-identical between a serial and
 // a 4-thread run of the identical workload. `batch` mines the same events
-// with the batch Miner instead of streaming them.
-std::string FilteredMetrics(int threads, bool batch) {
+// with the batch Miner instead of streaming them. `*tag_runs` receives the
+// summed tag_runs of every report the run produced.
+std::string FilteredMetrics(int threads, bool batch, std::uint64_t* tag_runs) {
+  *tag_runs = 0;
   GranularitySystem toy;
   const Granularity* unit = toy.AddUniform("unit", 1);
   EventStructure s;
@@ -338,6 +340,7 @@ std::string FilteredMetrics(int threads, bool batch) {
     options.executor = pool.get();
     Result<MiningReport> report = Miner(&toy, options).Mine(problem, sequence);
     EXPECT_TRUE(report.ok()) << report.status();
+    if (report.ok()) *tag_runs += report->tag_runs;
   } else {
     OnlineMinerOptions options;
     options.executor = pool.get();
@@ -351,6 +354,7 @@ std::string FilteredMetrics(int threads, bool batch) {
     miner->Seal();
     Result<MiningReport> report = miner->Snapshot();
     EXPECT_TRUE(report.ok());
+    if (mid.ok() && report.ok()) *tag_runs += mid->tag_runs + report->tag_runs;
   }
   registry.set_enabled(false);
 
@@ -365,34 +369,42 @@ std::string FilteredMetrics(int threads, bool batch) {
   return filtered;
 }
 
+// The exposition's granmine_mine_tag_runs_total line must read `tag_runs`.
+void ExpectTagRunsTotal(const std::string& exposition,
+                        std::uint64_t tag_runs) {
+  EXPECT_GT(tag_runs, 0u);
+  EXPECT_NE(exposition.find("granmine_mine_tag_runs_total " +
+                            std::to_string(tag_runs) + "\n"),
+            std::string::npos)
+      << "tag_runs=" << tag_runs << "\n"
+      << exposition;
+}
+
 TEST_F(ObsTest, StreamMetricsAreByteIdenticalAcrossThreadCounts) {
-  const std::string serial = FilteredMetrics(1, /*batch=*/false);
+  std::uint64_t tag_runs = 0;
+  const std::string serial = FilteredMetrics(1, /*batch=*/false, &tag_runs);
   // The instrumented families must actually be present, not vacuously equal.
   EXPECT_NE(serial.find("granmine_stream_events_ingested_total 48"),
             std::string::npos)
       << serial;
   EXPECT_NE(serial.find("granmine_tag_transitions_total"), std::string::npos);
   EXPECT_NE(serial.find("granmine_mine_scans_total"), std::string::npos);
-  EXPECT_NE(serial.find("granmine_mine_tag_runs_skipped_total"),
-            std::string::npos);
+  ExpectTagRunsTotal(serial, tag_runs);
   for (int threads : {2, 4}) {
-    EXPECT_EQ(serial, FilteredMetrics(threads, /*batch=*/false))
+    std::uint64_t ignored = 0;
+    EXPECT_EQ(serial, FilteredMetrics(threads, /*batch=*/false, &ignored))
         << "threads=" << threads;
   }
 }
 
 TEST_F(ObsTest, MineMetricsAreByteIdenticalAcrossThreadCounts) {
-  const std::string serial = FilteredMetrics(1, /*batch=*/true);
-  // The batch scan skips real runs on this fixture, for both reasons.
-  for (const char* reason : {"ineligible", "cutoff"}) {
-    const std::string family = std::string(
-        "granmine_mine_tag_runs_skipped_total{reason=\"") + reason + "\"} ";
-    const std::size_t at = serial.find(family);
-    ASSERT_NE(at, std::string::npos) << serial;
-    EXPECT_NE(serial.compare(at + family.size(), 2, "0\n"), 0) << serial;
-  }
+  std::uint64_t tag_runs = 0;
+  const std::string serial = FilteredMetrics(1, /*batch=*/true, &tag_runs);
+  // The shared runs are counted once each, as the report counts them.
+  ExpectTagRunsTotal(serial, tag_runs);
   for (int threads : {2, 4}) {
-    EXPECT_EQ(serial, FilteredMetrics(threads, /*batch=*/true))
+    std::uint64_t ignored = 0;
+    EXPECT_EQ(serial, FilteredMetrics(threads, /*batch=*/true, &ignored))
         << "threads=" << threads;
   }
 }

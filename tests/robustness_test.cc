@@ -525,6 +525,60 @@ TEST_F(MinerGovernorTest, MatchScopeSweepIsByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(interrupted_points, 5);
 }
 
+TEST_F(MinerGovernorTest, MatchScopeSweepTripsInsideSharedRuns) {
+  // Step 3 is on, so each kept root has one binding-carrying run, and a
+  // kMatch trip at index k stops every shared run that reaches k
+  // configurations. At θ 0.5 a stopped root leaves some candidates refuted
+  // (they cannot clear θ even if they matched there) and the rest unknown.
+  problem_.min_confidence = 0.5;
+  Miner plain(&toy_);
+  auto full = plain.Mine(problem_, seq_);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_TRUE(full->completeness.complete);
+  ASSERT_FALSE(full->solutions.empty());
+  ASSERT_EQ(full->tag_runs, full->roots_after_reduction);
+  const std::uint64_t configs = full->matcher_configurations;
+  ASSERT_GT(configs, full->tag_runs);
+  const std::uint64_t step = std::max<std::uint64_t>(1, configs / 96);
+  int mixed = 0;
+  for (std::uint64_t trip = 0; trip <= configs + step; trip += step) {
+    MiningReport serial =
+        MineInjected(1, GovernorScope::kMatch, trip, /*cancel_globally=*/false);
+    MiningReport parallel =
+        MineInjected(4, GovernorScope::kMatch, trip, /*cancel_globally=*/false);
+    CheckInvariant(serial);
+    CheckInvariant(parallel);
+    ASSERT_EQ(FormatReport(serial), FormatReport(parallel)) << "trip=" << trip;
+    // A stopped run is still a run: every kept root ran once.
+    EXPECT_EQ(serial.tag_runs, full->tag_runs) << "trip=" << trip;
+    const MiningCompleteness& c = serial.completeness;
+    EXPECT_EQ(c.not_evaluated, 0u) << "trip=" << trip;
+    if (c.unknown > 0) {
+      EXPECT_EQ(c.stop, StopCause::kFaultInjected);
+      for (const UnknownCandidate& unknown : serial.unknown_sample) {
+        EXPECT_EQ(unknown.reason, StopCause::kFaultInjected);
+      }
+      if (c.refuted > 0) ++mixed;
+    }
+    // What a partial report confirms, the full run confirms with the same
+    // count: a solution is only reported once every root's run finished.
+    for (const DiscoveredType& solution : serial.solutions) {
+      bool found = false;
+      for (const DiscoveredType& reference : full->solutions) {
+        if (reference.assignment == solution.assignment) {
+          found = true;
+          EXPECT_EQ(solution.matched_roots, reference.matched_roots);
+        }
+      }
+      EXPECT_TRUE(found) << "trip=" << trip;
+    }
+    if (trip > configs) {
+      EXPECT_EQ(FormatReport(serial), FormatReport(*full));
+    }
+  }
+  EXPECT_GT(mixed, 0);
+}
+
 TEST_F(MinerGovernorTest, GlobalCancellationSweepKeepsInvariants) {
   Miner plain(&toy_);
   auto full = plain.Mine(problem_, seq_);

@@ -12,8 +12,14 @@
 //    including one with gaps, so undefined ticks occur), unanchored and
 //    anchored, with equal-timestamp groups;
 //  - runs stopped by max_configurations and by the governor's memory budget
-//    (the per-configuration charge decides where that budget trips).
-// One MatchScratch is shared by every run, as a miner worker shares it.
+//    (the per-configuration charge decides where that budget trips);
+//  - binding-carrying runs of the Example-1 TAG over the same suffixes, one
+//    per root serving a whole candidate space, with every binding they
+//    accepted — plain, windowed, and stopped by max_configurations and by
+//    the memory budget (whose charge includes the binding slots).
+// One MatchScratch is shared by every run, as a miner worker shares it. The
+// binding-carrying section comes last, so the plain runs' lines also prove
+// that a run without bindings searches exactly as it did before.
 //
 // On a mismatch the test writes the corpus it computed next to the other
 // test temporaries and names the file; regenerate the golden only for a
@@ -21,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -41,14 +48,14 @@ namespace {
 class Corpus {
  public:
   void Record(const std::string& id, MatchOutcome outcome,
-              const MatchStats& stats) {
+              const MatchStats& stats, const std::string& suffix = "") {
     std::ostringstream os;
     os << id << " o=" << static_cast<int>(outcome)
        << " c=" << stats.configurations << " t=" << stats.transitions
        << " p=" << stats.peak_frontier << " g=" << stats.groups_advanced
        << " e=" << stats.events_scanned
        << " b=" << (stats.budget_exhausted ? 1 : 0)
-       << " s=" << static_cast<int>(stats.stopped);
+       << " s=" << static_cast<int>(stats.stopped) << suffix;
     lines_.push_back(os.str());
   }
 
@@ -66,9 +73,40 @@ void RunInto(Corpus* corpus, const std::string& id, const TagMatcher& matcher,
   corpus->Record(id, outcome, stats);
 }
 
+// A binding-carrying run, recorded with how many bindings it appended and
+// the distinct ones in order.
+void SharedRunInto(Corpus* corpus, const std::string& id,
+                   const TagMatcher& matcher, std::span<const Event> events,
+                   const SymbolMap& symbols, const MatchOptions& options,
+                   MatchScratch* scratch) {
+  MatchStats stats;
+  std::vector<std::int64_t> accepted;
+  MatchOutcome outcome =
+      matcher.Run(events, symbols, options, &stats, scratch, &accepted);
+  const std::size_t width = matcher.kernel().binding_width();
+  std::vector<std::vector<std::int64_t>> bindings;
+  for (auto at = accepted.begin(); at != accepted.end(); at += width) {
+    bindings.emplace_back(at, at + width);
+  }
+  std::sort(bindings.begin(), bindings.end());
+  bindings.erase(std::unique(bindings.begin(), bindings.end()),
+                 bindings.end());
+  std::ostringstream os;
+  os << " n=" << accepted.size() / width << " acc=";
+  for (const std::vector<std::int64_t>& binding : bindings) {
+    os << "[";
+    for (std::size_t v = 0; v < width; ++v) {
+      os << (v > 0 ? "," : "") << binding[v];
+    }
+    os << "]";
+  }
+  corpus->Record(id, outcome, stats, os.str());
+}
+
 // Example-1 (Figure 2) over the stock workload: anchored at every IBM-rise,
 // for candidates that move each non-root variable across the ticker types.
-void Example1Corpus(Corpus* corpus, MatchScratch* scratch) {
+// With `shared`, one binding-carrying run per root serves all of them.
+void Example1Corpus(Corpus* corpus, MatchScratch* scratch, bool shared) {
   auto system = GranularitySystem::Gregorian();
   Result<EventStructure> fig1a = BuildFigure1a(*system);
   ASSERT_TRUE(fig1a.ok());
@@ -99,6 +137,35 @@ void Example1Corpus(Corpus* corpus, MatchScratch* scratch) {
   const EventSequence& seq = workload.sequence;
   const std::vector<std::size_t> roots = seq.OccurrencesOf(rise);
   ASSERT_GT(roots.size(), 5u);
+  if (shared) {
+    const SymbolMap symbols = SymbolMap::FromAllowed(
+        {{rise}, {report, fall}, {hp_rise, hp_fall, rise}, {fall, hp_fall}},
+        type_count);
+    for (std::size_t at : roots) {
+      const std::span<const Event> suffix = seq.SuffixFrom(at);
+      const std::string id = "shared r" + std::to_string(at);
+      MatchOptions anchored;
+      anchored.anchored = true;
+      SharedRunInto(corpus, id, matcher, suffix, symbols, anchored, scratch);
+      MatchOptions windowed = anchored;
+      windowed.deadline = suffix.front().time + 3 * kSecondsPerDay;
+      SharedRunInto(corpus, id + " d3", matcher, suffix, symbols, windowed,
+                    scratch);
+      MatchOptions capped = anchored;
+      capped.max_configurations = 12;
+      SharedRunInto(corpus, id + " cap12", matcher, suffix, symbols, capped,
+                    scratch);
+      GovernorLimits limits;
+      limits.check_stride = 1;
+      limits.memory_budget_bytes = 2000;
+      ResourceGovernor governor(limits);
+      MatchOptions budgeted = anchored;
+      budgeted.governor = &governor;
+      SharedRunInto(corpus, id + " mem2000", matcher, suffix, symbols,
+                    budgeted, scratch);
+    }
+    return;
+  }
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     SymbolMap symbols = SymbolMap::FromAssignment(candidates[c], type_count);
     for (std::size_t at : roots) {
@@ -233,26 +300,37 @@ std::vector<std::string> ReadLines(const std::string& path) {
 TEST(TagKernelGoldenTest, RunStatsMatchTheRecordedCorpus) {
   Corpus corpus;
   MatchScratch scratch;
-  Example1Corpus(&corpus, &scratch);
+  Example1Corpus(&corpus, &scratch, /*shared=*/false);
   RandomTagCorpus(&corpus, &scratch);
+  Example1Corpus(&corpus, &scratch, /*shared=*/true);
   ASSERT_FALSE(HasFatalFailure());
 
-  // The corpus must reach every kind of run it claims to pin.
+  // The corpus must reach every kind of run it claims to pin, with and
+  // without bindings.
   int accepted = 0, rejected = 0, capped = 0, over_budget = 0;
+  int shared_accepted = 0, shared_capped = 0, shared_over_budget = 0;
+  const std::string mem_stop =
+      " s=" + std::to_string(static_cast<int>(StopCause::kMemBudget));
   for (const std::string& line : corpus.lines()) {
-    if (line.find(" o=1 ") != std::string::npos) ++accepted;
+    const bool shared = line.starts_with("shared ");
+    if (line.find(" o=1 ") != std::string::npos) {
+      ++(shared ? shared_accepted : accepted);
+    }
     if (line.find(" o=0 ") != std::string::npos) ++rejected;
-    if (line.find(" b=1 ") != std::string::npos) ++capped;
-    if (line.find(" s=" + std::to_string(static_cast<int>(
-                                StopCause::kMemBudget))) !=
-        std::string::npos) {
-      ++over_budget;
+    if (line.find(" b=1 ") != std::string::npos) {
+      ++(shared ? shared_capped : capped);
+    }
+    if (line.find(mem_stop) != std::string::npos) {
+      ++(shared ? shared_over_budget : over_budget);
     }
   }
   EXPECT_GT(accepted, 50);
   EXPECT_GT(rejected, 50);
   EXPECT_GT(capped, 50);
   EXPECT_GT(over_budget, 50);
+  EXPECT_GT(shared_accepted, 3);
+  EXPECT_GT(shared_capped, 3);
+  EXPECT_GT(shared_over_budget, 3);
 
   const std::string golden_path =
       std::string(GRANMINE_TEST_GOLDEN_DIR) + "/tag_kernel_runs.txt";

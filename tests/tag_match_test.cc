@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "granmine/common/random.h"
 #include "granmine/granularity/civil_calendar.h"
 #include "granmine/granularity/system.h"
@@ -330,6 +332,72 @@ TEST_F(TagOracleDifferentialTest, AnchoredAgreesWithOracle) {
     }
   }
   EXPECT_GT(checked, 50);
+}
+
+TEST_F(TagOracleDifferentialTest, SharedRunAcceptsExactlyTheMatchingPhis) {
+  // One binding-carrying run at a root accepts φ iff φ's own anchored run
+  // there does, and iff the brute-force oracle finds an occurrence.
+  Rng rng(4711);
+  const int kTypeCount = 3;
+  int matched = 0, unmatched = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(rng.Uniform(2, 4));
+    EventStructure s = RandomStructure(rng, n);
+    auto built = BuildTagForStructure(s);
+    ASSERT_TRUE(built.ok());
+    TagMatcher matcher(&built->tag);
+    ASSERT_EQ(matcher.kernel().binding_width(), static_cast<std::size_t>(n));
+    const VariableId root = *s.FindRoot();
+    std::vector<std::vector<EventTypeId>> allowed(
+        static_cast<std::size_t>(n), {0, 1, 2});
+    allowed[static_cast<std::size_t>(root)] = {0};
+    const SymbolMap shared = SymbolMap::FromAllowed(allowed, kTypeCount);
+    EventSequence seq;
+    TimePoint t = 0;
+    for (int i = 0; i < 10; ++i) {
+      t += rng.Uniform(0, 3);
+      seq.Add(static_cast<EventTypeId>(rng.Uniform(0, kTypeCount - 1)), t);
+    }
+    for (std::size_t at : seq.OccurrencesOf(0)) {
+      MatchOptions anchored;
+      anchored.anchored = true;
+      std::vector<std::int64_t> rows;
+      const MatchOutcome outcome = matcher.Run(
+          seq.SuffixFrom(at), shared, anchored, nullptr, nullptr, &rows);
+      std::vector<std::vector<EventTypeId>> accepted;
+      for (auto row = rows.begin(); row != rows.end(); row += n) {
+        accepted.emplace_back(row, row + n);
+      }
+      EXPECT_EQ(outcome, accepted.empty() ? MatchOutcome::kRejected
+                                          : MatchOutcome::kAccepted);
+      // Every φ over `allowed`, as an odometer over the non-root variables.
+      std::vector<EventTypeId> phi(static_cast<std::size_t>(n), 0);
+      for (int code = 0; code < (1 << (2 * n)); ++code) {
+        bool valid = true;
+        for (int v = 0, rest = code; v < n; ++v, rest >>= 2) {
+          phi[static_cast<std::size_t>(v)] = rest & 3;
+          valid = valid && (rest & 3) < kTypeCount &&
+                  (v != root || (rest & 3) == 0);
+        }
+        if (!valid) continue;
+        const bool shared_says =
+            std::find(accepted.begin(), accepted.end(), phi) != accepted.end();
+        OracleOptions oracle_options;
+        oracle_options.anchored_root_index = 0;
+        const bool oracle_says =
+            OccursBruteForce(s, phi, seq.SuffixFrom(at), oracle_options);
+        ASSERT_EQ(shared_says, oracle_says)
+            << s.ToString() << " at=" << at << " trial=" << trial;
+        ASSERT_EQ(matcher.Run(seq.SuffixFrom(at),
+                              SymbolMap::FromAssignment(phi, kTypeCount),
+                              anchored) == MatchOutcome::kAccepted,
+                  shared_says);
+        shared_says ? ++matched : ++unmatched;
+      }
+    }
+  }
+  EXPECT_GT(matched, 50);
+  EXPECT_GT(unmatched, 50);
 }
 
 // --- Oracle unit behaviour ---------------------------------------------------

@@ -170,13 +170,7 @@ TEST_F(WindowsTest, DroppedRootLeavesNoBitsInTheNextColumn) {
   UsabilityTable reduced(allowed, x0, windows.size());
   EXPECT_EQ(reduced.Build(seq, propagation, windows, /*reduce=*/true),
             (std::vector<std::size_t>{1}));
-  ASSERT_EQ(reduced.words(), 1u);
-  std::uint64_t mask = ~std::uint64_t{0};
   // The first root's type-1 bit for X1 must not survive into column 0.
-  EXPECT_EQ(reduced.EligibleRoots({0, 1, 2}, &mask), 0u);
-  EXPECT_EQ(mask, 0u);
-  EXPECT_EQ(reduced.EligibleRoots({0, 3, 2}, &mask), 1u);
-  EXPECT_EQ(mask, 1u);
   std::vector<std::vector<EventTypeId>> screened = allowed;
   reduced.Screen(/*total_roots=*/2, /*min_confidence=*/0.0, &screened);
   EXPECT_EQ(screened[1], (std::vector<EventTypeId>{3}));
@@ -257,8 +251,8 @@ TEST_F(WindowsTest, TableAgreesWithPerWindowCounts) {
   }
 
   // Step 3 keeps the viable roots where every variable has a usable type,
-  // and a candidate is eligible at the kept roots that hold each of its
-  // types.
+  // and a row's bits are its type's usable kept roots: screening the kept
+  // columns counts exactly those.
   UsabilityTable table(allowed, x0, total);
   const std::vector<std::size_t> kept =
       table.Build(seq, propagation, windows, /*reduce=*/true);
@@ -275,18 +269,18 @@ TEST_F(WindowsTest, TableAgreesWithPerWindowCounts) {
   ASSERT_EQ(kept, expected_kept);
   ASSERT_GT(kept.size(), 0u);
   ASSERT_LT(kept.size(), total);
-  std::vector<std::uint64_t> mask(table.words());
-  for (EventTypeId a = 1; a <= 4; ++a) {
-    for (EventTypeId b = 1; b <= 4; ++b) {
-      const std::size_t count = table.EligibleRoots({0, a, b}, mask.data());
-      std::size_t expected = 0;
-      for (std::size_t c = 0; c < kept.size(); ++c) {
-        const bool eligible = usable(kept[c], x1, a) && usable(kept[c], x2, b);
-        expected += eligible;
-        EXPECT_EQ(((mask[c / 64] >> (c % 64)) & 1) != 0, eligible)
-            << "a=" << a << " b=" << b << " column=" << c;
+  for (std::size_t k = 0; k <= kept.size(); ++k) {
+    std::vector<std::vector<EventTypeId>> screened = allowed;
+    table.Screen(total, static_cast<double>(k) / static_cast<double>(total),
+                 &screened);
+    for (VariableId v : {x1, x2}) {
+      std::vector<EventTypeId> expected;
+      for (EventTypeId type = 1; type <= 4; ++type) {
+        std::size_t hits = 0;
+        for (std::size_t c : kept) hits += usable(c, v, type);
+        if (hits > k) expected.push_back(type);
       }
-      EXPECT_EQ(count, expected) << "a=" << a << " b=" << b;
+      EXPECT_EQ(screened[v], expected) << "v=" << v << " k=" << k;
     }
   }
 }
